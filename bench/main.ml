@@ -464,6 +464,151 @@ let fork_server ?(io_shards = 1) sock =
       exit 0
   | pid -> pid
 
+(* ------------------------------ loadgen ----------------------------- *)
+
+type load = {
+  got : int;  (** responses received *)
+  ok : int;  (** successful responses byte-equal to their reference *)
+  refused : int;  (** typed admission/backpressure refusals *)
+  mismatched : int;  (** untyped errors, undecodable or differing bytes *)
+  latencies_us : float array;  (** send-to-reply, one per response, sorted *)
+  elapsed : float;  (** wall seconds from the first fork to the last reap *)
+}
+
+(* The one load generator behind --load, --soak and the sharded-health
+   kernel of --serve.  Forks [clients] client processes; each opens one
+   connection and sends [per_client] requests, request [r] being
+   [script r].  Unpaced, each request goes out as soon as the previous
+   reply is in; with [~tick] each client holds a fixed grid
+   [t0 + r * tick], so a slow response eats into the following gap
+   instead of stretching the run.  Every successful response is
+   byte-compared against the first one that client saw for the same
+   request, and typed refusals are counted apart from mismatches —
+   refusals are expected under rate limiting, silent corruption never
+   is.  Each child reports through a temp file: one count line, then one
+   latency per response. *)
+let forked_load ?tick ~address ~script ~clients ~per_client () =
+  let files =
+    List.init clients (fun i -> Filename.temp_file "repro_load" (string_of_int i))
+  in
+  flush stdout;
+  let w0 = Unix.gettimeofday () in
+  let pids =
+    List.map
+      (fun file ->
+        match Unix.fork () with
+        | 0 ->
+            let got = ref 0
+            and ok = ref 0
+            and refused = ref 0
+            and mismatched = ref 0 in
+            let refs = Hashtbl.create 4 in
+            let lat = Array.make per_client (-1.0) in
+            (try
+               Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+                   let t0 = Unix.gettimeofday () in
+                   for r = 0 to per_client - 1 do
+                     (match tick with
+                     | None -> ()
+                     | Some interval ->
+                         let due = t0 +. (float_of_int r *. interval) in
+                         let now = Unix.gettimeofday () in
+                         if due > now then Unix.sleepf (due -. now));
+                     let req = script r in
+                     let s = Unix.gettimeofday () in
+                     match Serve.Client.call_raw conn req with
+                     | Error _ -> ()
+                     | Ok payload -> (
+                         incr got;
+                         lat.(r) <- (Unix.gettimeofday () -. s) *. 1e6;
+                         match Serve.Protocol.decode_response payload with
+                         | Ok
+                             (Serve.Protocol.Error
+                                {
+                                  code =
+                                    ( Serve.Protocol.Rate_limited
+                                    | Serve.Protocol.Too_large
+                                    | Serve.Protocol.Overloaded
+                                    | Serve.Protocol.Timeout
+                                    | Serve.Protocol.Busy );
+                                  _;
+                                }) ->
+                             incr refused
+                         | Ok (Serve.Protocol.Error _) | Error _ -> incr mismatched
+                         | Ok _ -> (
+                             match Hashtbl.find_opt refs req with
+                             | None ->
+                                 Hashtbl.replace refs req payload;
+                                 incr ok
+                             | Some reference ->
+                                 if String.equal reference payload then incr ok
+                                 else incr mismatched))
+                   done)
+             with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
+            let out = open_out file in
+            Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
+            Array.iter (fun v -> if v >= 0.0 then Printf.fprintf out "%.1f\n" v) lat;
+            close_out out;
+            Unix._exit 0
+        | pid -> pid)
+      files
+  in
+  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
+  let elapsed = Unix.gettimeofday () -. w0 in
+  let latencies = ref [] in
+  let got, ok, refused, mismatched =
+    List.fold_left
+      (fun (g, o, r, m) file ->
+        let ic = open_in file in
+        let counts =
+          Scanf.sscanf (input_line ic) "%d %d %d %d" (fun a b c d ->
+              (g + a, o + b, r + c, m + d))
+        in
+        (try
+           while true do
+             latencies := float_of_string (input_line ic) :: !latencies
+           done
+         with End_of_file -> ());
+        close_in ic;
+        Sys.remove file;
+        counts)
+      (0, 0, 0, 0) files
+  in
+  let latencies_us = Array.of_list !latencies in
+  Array.sort compare latencies_us;
+  { got; ok; refused; mismatched; latencies_us; elapsed }
+
+(* The request cycle of --load and --soak: health, analyze, quadrant. *)
+let gzip_script r =
+  match r mod 3 with
+  | 0 -> Serve.Protocol.Health
+  | 1 -> Serve.Protocol.Analyze "gzip"
+  | _ -> Serve.Protocol.Quadrant "gzip"
+
+(* --load/--soak flags: the server's --socket PATH, and a reader for
+   positive integer flags; [what] prefixes the error messages. *)
+let loadgen_flags ~what args =
+  let rec opt name = function
+    | [] -> None
+    | k :: v :: _ when String.equal k name -> Some v
+    | _ :: rest -> opt name rest
+  in
+  let socket =
+    match opt "--socket" args with
+    | Some s -> s
+    | None -> failwith (what ^ ": --socket PATH required")
+  in
+  let int_opt name default =
+    match opt name args with
+    | None -> default
+    | Some v -> (
+        match int_of_string_opt v with
+        | Some n when n >= 1 -> n
+        | Some _ | None ->
+            failwith (Printf.sprintf "%s: %s expects a positive integer" what name))
+  in
+  (Serve.Server.Unix_socket socket, int_opt)
+
 (* Sharded health throughput: [clients] forked client processes hammer a
    server child running [io_shards] IO domains, and every single response
    is verified — "zero lost responses" is checked, not assumed.  The
@@ -485,42 +630,16 @@ let sharded_health_rps ~io_shards ~clients ~per_client =
         | Ok (Serve.Protocol.Health_ok _) -> ()
         | Ok r -> failwith (Serve.Protocol.render_response r)
         | Error m -> failwith m);
-    let w0 = Unix.gettimeofday () in
-    let pids =
-      List.init clients (fun _ ->
-          match Unix.fork () with
-          | 0 ->
-              let status =
-                try
-                  Serve.Client.with_connection ~retry_for:200 address
-                    (fun conn ->
-                      let ok = ref 0 in
-                      for _ = 1 to per_client do
-                        match Serve.Client.call conn Serve.Protocol.Health with
-                        | Ok (Serve.Protocol.Health_ok _) -> incr ok
-                        | Ok _ | Error _ -> ()
-                      done;
-                      if !ok = per_client then 0 else 1)
-                with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> 1
-              in
-              Unix._exit status
-          | pid -> pid)
+    let load =
+      forked_load ~address ~script:(fun _ -> Serve.Protocol.Health) ~clients ~per_client ()
     in
-    let lost =
-      List.fold_left
-        (fun acc pid ->
-          match Unix.waitpid [] pid with
-          | _, Unix.WEXITED 0 -> acc
-          | _ -> acc + 1)
-        0 pids
-    in
-    let dt = Unix.gettimeofday () -. w0 in
     Serve.Client.with_connection ~retry_for:200 address (fun conn ->
         ignore (Serve.Client.call conn Serve.Protocol.Shutdown));
     finish ();
-    if lost > 0 then
-      failwith (Printf.sprintf "%d client(s) lost responses" lost);
-    float_of_int (clients * per_client) /. dt
+    let sent = clients * per_client in
+    if load.ok < sent then
+      failwith (Printf.sprintf "%d of %d responses lost or not ok" (sent - load.ok) sent);
+    float_of_int sent /. load.elapsed
   with Failure m ->
     (try Unix.kill pid Sys.sigterm with Unix.Unix_error (_, _, _) -> ());
     finish ();
@@ -632,110 +751,18 @@ let run_serve_report () =
         finish ();
         Printf.printf "serve RPC bench failed: %s\n\n%!" m)
 
-(* ------------------------------ loadgen ----------------------------- *)
-
 (* `bench/main.exe -- --load --socket PATH [--clients N] [--requests M]`:
-   the load generator behind scripts/load_test.sh.  Forks N client
-   processes against an already-running server; each cycles
-   health/analyze/quadrant, byte-compares every successful response
-   against the first one it saw for that request, and classifies typed
-   admission refusals separately.  Prints one summary line and exits
-   non-zero on any lost or mismatched response — refusals are fine (the
-   script runs a phase with rate limiting on and expects some), silent
-   corruption is not. *)
+   the unpaced load behind scripts/load_test.sh.  N forked clients cycle
+   health/analyze/quadrant through {!forked_load} as fast as the socket
+   allows.  Prints one summary line and exits non-zero on any lost or
+   mismatched response — refusals are fine (the script runs a phase with
+   rate limiting on and expects some), silent corruption is not. *)
 let run_load args =
-  let rec opt name = function
-    | [] -> None
-    | k :: v :: _ when String.equal k name -> Some v
-    | _ :: rest -> opt name rest
-  in
-  let socket =
-    match opt "--socket" args with
-    | Some s -> s
-    | None -> failwith "load: --socket PATH required"
-  in
-  let int_opt name default =
-    match opt name args with
-    | None -> default
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            failwith (Printf.sprintf "load: %s expects a positive integer" name))
-  in
+  let address, int_opt = loadgen_flags ~what:"load" args in
   let clients = int_opt "--clients" 8 in
   let per_client = int_opt "--requests" 60 in
-  let address = Serve.Server.Unix_socket socket in
-  let script r =
-    match r mod 3 with
-    | 0 -> Serve.Protocol.Health
-    | 1 -> Serve.Protocol.Analyze "gzip"
-    | _ -> Serve.Protocol.Quadrant "gzip"
-  in
-  let files =
-    List.init clients (fun i -> Filename.temp_file "repro_load" (string_of_int i))
-  in
-  flush stdout;
-  let pids =
-    List.map
-      (fun file ->
-        match Unix.fork () with
-        | 0 ->
-            let got = ref 0
-            and ok = ref 0
-            and refused = ref 0
-            and mismatched = ref 0 in
-            let refs = Hashtbl.create 3 in
-            (try
-               Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-                   for r = 0 to per_client - 1 do
-                     match Serve.Client.call_raw conn (script r) with
-                     | Error _ -> ()
-                     | Ok payload -> (
-                         incr got;
-                         match Serve.Protocol.decode_response payload with
-                         | Ok
-                             (Serve.Protocol.Error
-                                {
-                                  code =
-                                    ( Serve.Protocol.Rate_limited
-                                    | Serve.Protocol.Too_large
-                                    | Serve.Protocol.Overloaded
-                                    | Serve.Protocol.Timeout
-                                    | Serve.Protocol.Busy );
-                                  _;
-                                }) ->
-                             incr refused
-                         | Ok (Serve.Protocol.Error _) | Error _ ->
-                             incr mismatched
-                         | Ok _ -> (
-                             match Hashtbl.find_opt refs (r mod 3) with
-                             | None ->
-                                 Hashtbl.replace refs (r mod 3) payload;
-                                 incr ok
-                             | Some reference ->
-                                 if String.equal reference payload then incr ok
-                                 else incr mismatched))
-                   done)
-             with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            let out = open_out file in
-            Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
-            close_out out;
-            Unix._exit 0
-        | pid -> pid)
-      files
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  let got, ok, refused, mismatched =
-    List.fold_left
-      (fun (g, o, r, m) file ->
-        let ic = open_in file in
-        let line = input_line ic in
-        close_in ic;
-        Sys.remove file;
-        Scanf.sscanf line "%d %d %d %d" (fun a b c d ->
-            (g + a, o + b, r + c, m + d)))
-      (0, 0, 0, 0) files
+  let { got; ok; refused; mismatched; _ } =
+    forked_load ~address ~script:gzip_script ~clients ~per_client ()
   in
   let sent = clients * per_client in
   let lost = sent - got in
@@ -750,146 +777,35 @@ let run_load args =
 (* -------------------------------- soak ------------------------------ *)
 
 (* `bench/main.exe -- --soak --socket PATH [--clients N] [--rps R]
-   [--duration SECONDS] [--json]`: the paced load generator behind
-   scripts/soak_test.sh.  Unlike --load (which fires as fast as the
-   socket allows), each forked client schedules its requests against a
-   fixed tick grid so the offered load is a target requests/sec held for
-   a target duration — a soak, not a burst.  Every response is verified
-   exactly as in --load (byte-compare per request shape, typed refusals
-   counted separately), per-request latencies are merged across clients
-   into p50/p99, and the run fails on any lost or mismatched response.
-   The JSON report carries the calibration figure and the core count so
-   scripts/soak_test.sh can hold p99 to a machine-normalized budget from
-   the committed BENCH_soak.json baseline. *)
+   [--duration SECONDS] [--json]`: the paced load behind
+   scripts/soak_test.sh.  The same {!forked_load} as --load, on a tick
+   grid, so the offered load is a target requests/sec held for a target
+   duration — a soak, not a burst.  Per-request latencies are merged
+   across clients into p50/p99, and the run fails on any lost or
+   mismatched response.  The JSON report carries the calibration figure
+   and the core count so scripts/soak_test.sh can hold p99 to a
+   machine-normalized budget from the committed BENCH_soak.json
+   baseline. *)
 let run_soak args =
-  let rec opt name = function
-    | [] -> None
-    | k :: v :: _ when String.equal k name -> Some v
-    | _ :: rest -> opt name rest
-  in
-  let socket =
-    match opt "--socket" args with
-    | Some s -> s
-    | None -> failwith "soak: --socket PATH required"
-  in
-  let int_opt name default =
-    match opt name args with
-    | None -> default
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some n when n >= 1 -> n
-        | Some _ | None ->
-            failwith (Printf.sprintf "soak: %s expects a positive integer" name))
-  in
+  let address, int_opt = loadgen_flags ~what:"soak" args in
   let clients = int_opt "--clients" 4 in
   let rps = int_opt "--rps" 200 in
   let duration = int_opt "--duration" 5 in
   let json = List.mem "--json" args in
-  let address = Serve.Server.Unix_socket socket in
   let per_client = max 1 (rps * duration / clients) in
   let interval = float_of_int duration /. float_of_int per_client in
-  let script r =
-    match r mod 3 with
-    | 0 -> Serve.Protocol.Health
-    | 1 -> Serve.Protocol.Analyze "gzip"
-    | _ -> Serve.Protocol.Quadrant "gzip"
-  in
   (* Machine-speed probe before the forks, outside the paced window. *)
   let calib_ms = time_reps 5 calibration_kernel in
-  let files =
-    List.init clients (fun i -> Filename.temp_file "repro_soak" (string_of_int i))
+  let { got; ok; refused; mismatched; latencies_us = sorted; elapsed } =
+    forked_load ~tick:interval ~address ~script:gzip_script ~clients ~per_client ()
   in
-  flush stdout;
-  let w0 = Unix.gettimeofday () in
-  let pids =
-    List.map
-      (fun file ->
-        match Unix.fork () with
-        | 0 ->
-            let got = ref 0
-            and ok = ref 0
-            and refused = ref 0
-            and mismatched = ref 0 in
-            let refs = Hashtbl.create 3 in
-            let lat = Array.make per_client (-1.0) in
-            (try
-               Serve.Client.with_connection ~retry_for:200 address (fun conn ->
-                   let t0 = Unix.gettimeofday () in
-                   for r = 0 to per_client - 1 do
-                     (* Fixed tick grid: a slow response eats into the
-                        following gap instead of stretching the run. *)
-                     let tick = t0 +. (float_of_int r *. interval) in
-                     let now = Unix.gettimeofday () in
-                     if tick > now then Unix.sleepf (tick -. now);
-                     let s = Unix.gettimeofday () in
-                     (match Serve.Client.call_raw conn (script r) with
-                     | Error _ -> ()
-                     | Ok payload -> (
-                         incr got;
-                         lat.(r) <- (Unix.gettimeofday () -. s) *. 1e6;
-                         match Serve.Protocol.decode_response payload with
-                         | Ok
-                             (Serve.Protocol.Error
-                                {
-                                  code =
-                                    ( Serve.Protocol.Rate_limited
-                                    | Serve.Protocol.Too_large
-                                    | Serve.Protocol.Overloaded
-                                    | Serve.Protocol.Timeout
-                                    | Serve.Protocol.Busy );
-                                  _;
-                                }) ->
-                             incr refused
-                         | Ok (Serve.Protocol.Error _) | Error _ ->
-                             incr mismatched
-                         | Ok _ -> (
-                             match Hashtbl.find_opt refs (r mod 3) with
-                             | None ->
-                                 Hashtbl.replace refs (r mod 3) payload;
-                                 incr ok
-                             | Some reference ->
-                                 if String.equal reference payload then incr ok
-                                 else incr mismatched)))
-                   done)
-             with Failure _ | Unix.Unix_error (_, _, _) | Sys_error _ -> ());
-            let out = open_out file in
-            Printf.fprintf out "%d %d %d %d\n" !got !ok !refused !mismatched;
-            Array.iter (fun v -> if v >= 0.0 then Printf.fprintf out "%.1f\n" v) lat;
-            close_out out;
-            Unix._exit 0
-        | pid -> pid)
-      files
-  in
-  List.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  let dt = Unix.gettimeofday () -. w0 in
-  let latencies = ref [] in
-  let got, ok, refused, mismatched =
-    List.fold_left
-      (fun (g, o, r, m) file ->
-        let ic = open_in file in
-        let counts =
-          Scanf.sscanf (input_line ic) "%d %d %d %d" (fun a b c d ->
-              (g + a, o + b, r + c, m + d))
-        in
-        (try
-           while true do
-             latencies := float_of_string (input_line ic) :: !latencies
-           done
-         with End_of_file -> ());
-        close_in ic;
-        Sys.remove file;
-        counts)
-      (0, 0, 0, 0) files
-  in
-  let sorted = Array.of_list !latencies in
-  Array.sort compare sorted;
   let p50, p99 =
     if Array.length sorted = 0 then (0.0, 0.0)
     else (percentile sorted 50.0, percentile sorted 99.0)
   in
   let sent = clients * per_client in
   let lost = sent - got in
-  let achieved = float_of_int got /. dt in
+  let achieved = float_of_int got /. elapsed in
   let cores = Domain.recommended_domain_count () in
   let summary =
     Printf.sprintf

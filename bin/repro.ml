@@ -361,6 +361,16 @@ let graph_cmd =
           function-level graph.")
     Term.(const run $ root $ dot $ json)
 
+(* A client connection to a running server.  An unreachable address (no
+   socket file, nobody listening) exits 1 with one line instead of an
+   uncaught exception. *)
+let with_server ?retry_for address f =
+  try Serve.Client.with_connection ?retry_for address f
+  with Unix.Unix_error (err, "connect", _) ->
+    Printf.eprintf "cannot connect to %s: %s\n" (Serve.Server.describe_address address)
+      (Unix.error_message err);
+    exit 1
+
 let address_term =
   let socket =
     Arg.(
@@ -516,7 +526,7 @@ let serve_cmd =
       breaker_probe metrics_port =
     if status then
       match
-        Serve.Client.with_connection address (fun c -> Serve.Client.call c Serve.Protocol.Stats)
+        with_server address (fun c -> Serve.Client.call c Serve.Protocol.Stats)
       with
       | Ok resp ->
           print_string (Serve.Protocol.render_response resp);
@@ -564,12 +574,6 @@ let serve_cmd =
           evloop;
           admission;
           metrics_port;
-          store_counters =
-            (fun () ->
-              Option.map
-                (fun c ->
-                  (c.Store.Cas.hits, c.Store.Cas.misses, c.Store.Cas.writes, c.Store.Cas.corrupt))
-                (Store.Result_cache.counters ()));
         }
       in
       (* Lifecycle chatter goes to stderr; stdout carries only the final
@@ -668,7 +672,7 @@ let client_cmd =
   in
   let run config address wait args =
     let retry_for = if wait then 100 else 0 in
-    Serve.Client.with_connection ~retry_for address (fun conn ->
+    with_server ~retry_for address (fun conn ->
         match args with
         | [ "analyze"; w ] -> simple_call conn (Serve.Protocol.Analyze w)
         | [ "quadrant"; w ] -> simple_call conn (Serve.Protocol.Quadrant w)

@@ -28,6 +28,53 @@ let default =
 let quick =
   { default with intervals = 48; samples_per_interval = 50; scale = 0.25; kmax = 25 }
 
+(* The analysis-cache key, shared by the in-memory tier and the store: one
+   "<field> <value>" line per config field except [jobs] (results are
+   bit-identical for every jobs count, so caching on it would only split
+   the cache).  Floats print as %h hex-floats, so [of_key] inverts [key]
+   exactly and two configs share a key iff they produce the same bytes. *)
+let key config name =
+  Printf.sprintf
+    "name %s\nmachine %s\nseed %d\nscale %h\nintervals %d\nsamples_per_interval %d\n\
+     period %d\nkmax %d\nfolds %d\nkopt_tol %h\n"
+    name config.machine.March.Config.name config.seed config.scale config.intervals
+    config.samples_per_interval config.period config.kmax config.folds config.kopt_tol
+
+let of_key ~jobs key =
+  let field label line =
+    let prefix = label ^ " " in
+    let plen = String.length prefix in
+    if String.length line > plen && String.sub line 0 plen = prefix then
+      Some (String.sub line plen (String.length line - plen))
+    else None
+  in
+  let ( let* ) = Option.bind in
+  let int_field label line = Option.bind (field label line) int_of_string_opt in
+  let float_field label line = Option.bind (field label line) float_of_string_opt in
+  match String.split_on_char '\n' key with
+  | [ name_l; machine_l; seed_l; scale_l; intervals_l; spi_l; period_l; kmax_l; folds_l;
+      tol_l; "" ] ->
+      let* name = field "name" name_l in
+      let* machine_name = field "machine" machine_l in
+      let* machine =
+        match March.Config.by_name machine_name with
+        | m -> Some m
+        | exception Not_found -> None
+      in
+      let* seed = int_field "seed" seed_l in
+      let* scale = float_field "scale" scale_l in
+      let* intervals = int_field "intervals" intervals_l in
+      let* samples_per_interval = int_field "samples_per_interval" spi_l in
+      let* period = int_field "period" period_l in
+      let* kmax = int_field "kmax" kmax_l in
+      let* folds = int_field "folds" folds_l in
+      let* kopt_tol = float_field "kopt_tol" tol_l in
+      Some
+        ( { seed; scale; machine; intervals; samples_per_interval; period; kmax; folds;
+            kopt_tol; jobs },
+          name )
+  | _ -> None
+
 type t = {
   name : string;
   config : config;

@@ -27,6 +27,16 @@ val default : config
 val quick : config
 (** Test scale: 48 intervals, reduced data sets. *)
 
+val key : config -> string -> string
+(** [key config name] — the analysis-cache key of workload [name] under
+    [config], used by the in-memory tier and (inside its own header) by
+    the persistent store.  One line per config field except [jobs];
+    floats as [%h] hex-floats, so distinct configs get distinct keys. *)
+
+val of_key : jobs:int -> string -> (config * string) option
+(** Invert {!key}.  [None] for an unknown machine name or malformed text;
+    [jobs] fills the one config field the key deliberately omits. *)
+
 type t = {
   name : string;
   config : config;

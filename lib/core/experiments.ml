@@ -5,19 +5,11 @@ type t = {
   run : Analysis.config -> string;
 }
 
+(* The memory tier, keyed by {!Analysis.key} — the same key the store
+   uses, so one configuration can never be answered with another's
+   analysis. *)
 let cache : (string, Analysis.t) Hashtbl.t = Hashtbl.create 32
 let cache_mutex = Mutex.create ()
-
-(* [jobs] is deliberately absent from the key: the parallel layer
-   guarantees bit-identical results for every jobs value, so analyses are
-   shared across jobs settings.  Every other config field is included —
-   kmax/folds/kopt_tol shape the CV curve just as much as the sampling
-   knobs do. *)
-let cache_key (config : Analysis.config) name =
-  Printf.sprintf "%s|%d|%f|%s|%d|%d|%d|%d|%d|%f" name config.Analysis.seed
-    config.Analysis.scale config.Analysis.machine.March.Config.name config.Analysis.intervals
-    config.Analysis.samples_per_interval config.Analysis.period config.Analysis.kmax
-    config.Analysis.folds config.Analysis.kopt_tol
 
 (* ------------------------------------------------------------------ *)
 (* Second cache tier: the persistent content-addressed store.  The store
@@ -55,7 +47,7 @@ let compute_tiers config name =
           a)
 
 let rec analyze_cached config name =
-  let key = cache_key config name in
+  let key = Analysis.key config name in
   let self = (Domain.self () :> int) in
   Mutex.lock cache_mutex;
   match Hashtbl.find_opt cache key with
@@ -99,13 +91,13 @@ let rec analyze_cached config name =
               raise e))
 
 let preload (a : Analysis.t) =
-  let key = cache_key a.Analysis.config a.Analysis.name in
+  let key = Analysis.key a.Analysis.config a.Analysis.name in
   Mutex.lock cache_mutex;
   if not (Hashtbl.mem cache key) then Hashtbl.add cache key a;
   Mutex.unlock cache_mutex
 
 let cached config name =
-  let key = cache_key config name in
+  let key = Analysis.key config name in
   Mutex.lock cache_mutex;
   let hit = Hashtbl.mem cache key in
   Mutex.unlock cache_mutex;

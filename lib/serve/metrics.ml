@@ -124,11 +124,11 @@ let incr_cache_miss (t : t) = t.cache_misses <- t.cache_misses + 1
 
 (* The persistent store keeps its own monotonic counters; the server
    copies them in before every snapshot rather than mirroring each event. *)
-let set_store (t : t) ~hits ~misses ~writes ~corrupt =
-  t.store_hits <- hits;
-  t.store_misses <- misses;
-  t.store_writes <- writes;
-  t.store_corrupt <- corrupt
+let set_store (t : t) (c : Store.Cas.counters) =
+  t.store_hits <- c.hits;
+  t.store_misses <- c.misses;
+  t.store_writes <- c.writes;
+  t.store_corrupt <- c.corrupt
 
 let set_io_shards (t : t) n = t.io_shards <- n
 

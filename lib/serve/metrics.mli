@@ -76,7 +76,7 @@ val incr_batch_joined : t -> unit
 val incr_cache_hit : t -> unit
 val incr_cache_miss : t -> unit
 
-val set_store : t -> hits:int -> misses:int -> writes:int -> corrupt:int -> unit
+val set_store : t -> Store.Cas.counters -> unit
 (** Copy the persistent store's counters into the metrics (all zero when
     no store is attached).  Called before each snapshot; the store owns
     the running totals. *)

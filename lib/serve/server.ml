@@ -12,10 +12,6 @@ type config = {
   evloop : Evloop.backend option;
       (* None = best available (epoll on Linux, else select) *)
   admission : Admission.config;
-  store_counters : unit -> (int * int * int * int) option;
-      (* (hits, misses, writes, corrupt) of the attached persistent
-         store, or None when serving without one.  A callback so serve
-         stays independent of lib/store; polled before each snapshot. *)
   metrics_port : int option;
       (* loopback TCP port for the HTTP /metrics + /health endpoint
          (0 = OS-assigned, reported via on_event); None = no endpoint *)
@@ -35,7 +31,6 @@ let config_of_analysis analysis =
     backlog = default_backlog;
     evloop = None;
     admission = Admission.off;
-    store_counters = (fun () -> None);
     metrics_port = None;
   }
 
@@ -134,10 +129,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
   in
   let admission = Admission.create cfg.admission in
   let sync_store_counters () =
-    match cfg.store_counters () with
-    | Some (hits, misses, writes, corrupt) ->
-        Metrics.set_store metrics ~hits ~misses ~writes ~corrupt
-    | None -> ()
+    Option.iter (Metrics.set_store metrics) (Store.Result_cache.counters ())
   in
   let sync_admission_counters () =
     let c = Admission.counters admission in

@@ -63,11 +63,6 @@ type config = {
   backlog : int;  (** listen(2) backlog *)
   evloop : Evloop.backend option;  (** [None] = {!Evloop.best} *)
   admission : Admission.config;  (** {!Admission.off} disables all gates *)
-  store_counters : unit -> (int * int * int * int) option;
-      (** (hits, misses, writes, corrupt) of the attached persistent
-          result store, or [None] when serving without one.  Polled
-          before each metrics snapshot; a callback so serve does not
-          depend on lib/store. *)
   metrics_port : int option;
       (** loopback TCP port for the HTTP [/metrics] + [/health]
           endpoint; [Some 0] binds an OS-assigned port (reported through
@@ -81,8 +76,10 @@ val config_of_analysis : Fuzzy.Analysis.config -> config
 (** Defaults: pipeline from {!Online.Pipeline.default} with the given
     analysis config; queue 64; 32 connections; no timeout;
     {!Wire.default_max_payload}; one IO shard; {!default_backlog}; best
-    evloop backend; admission off; no store counters; no metrics
-    endpoint. *)
+    evloop backend; admission off; no metrics endpoint. *)
+
+val describe_address : address -> string
+(** ["unix:PATH"] or ["tcp:127.0.0.1:PORT"], as in log and error lines. *)
 
 val run : ?on_event:(string -> unit) -> config -> address -> Metrics.snapshot
 (** Bind, listen and serve until drained ([Shutdown] request or

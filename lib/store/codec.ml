@@ -1,12 +1,8 @@
 (* Canonical serialization for store keys and payloads.
 
-   The key is a small line-oriented text block covering everything an
-   analysis result depends on: the code-version stamp, the workload name,
-   and every {!Analysis.config} field except [jobs] (results are
-   bit-identical for every jobs count, so caching on it would only split
-   the store).  Floats print as %h hex-floats, so the key -> config ->
-   key roundtrip is exact and two configs share a key iff they would
-   produce the same bytes.
+   The key is {!Fuzzy.Analysis.key} — the one cache key, shared with the
+   in-memory tier — behind two header lines: the entry format and the
+   code-version stamp, so entries written by other code read as foreign.
 
    The payload persists only the expensive parts of an analysis — the
    sample run (as a Trace_io v2 archive, reusing its checksummed format
@@ -14,81 +10,15 @@
    {!Analysis.t} is a cheap deterministic fold over the run and is
    rebuilt on load by {!Analysis.of_parts}. *)
 
-let canonical_key (config : Fuzzy.Analysis.config) name =
-  let b = Buffer.create 256 in
-  Printf.bprintf b "fuzzykey %d\n" Version.entry_format;
-  Printf.bprintf b "stamp %s\n" Version.code_stamp;
-  Printf.bprintf b "name %s\n" name;
-  Printf.bprintf b "machine %s\n" config.Fuzzy.Analysis.machine.March.Config.name;
-  Printf.bprintf b "seed %d\n" config.Fuzzy.Analysis.seed;
-  Printf.bprintf b "scale %h\n" config.Fuzzy.Analysis.scale;
-  Printf.bprintf b "intervals %d\n" config.Fuzzy.Analysis.intervals;
-  Printf.bprintf b "samples_per_interval %d\n" config.Fuzzy.Analysis.samples_per_interval;
-  Printf.bprintf b "period %d\n" config.Fuzzy.Analysis.period;
-  Printf.bprintf b "kmax %d\n" config.Fuzzy.Analysis.kmax;
-  Printf.bprintf b "folds %d\n" config.Fuzzy.Analysis.folds;
-  Printf.bprintf b "kopt_tol %h\n" config.Fuzzy.Analysis.kopt_tol;
-  Buffer.contents b
+let header = Printf.sprintf "fuzzykey %d\nstamp %s\n" Version.entry_format Version.code_stamp
 
-(* Split into lines and read "<field> <rest-of-line>" pairs in the fixed
-   order [canonical_key] writes them.  [jobs] is not part of the key, so
-   the caller supplies the value for the config being rebuilt. *)
+let canonical_key config name = header ^ Fuzzy.Analysis.key config name
+
 let parse_key ~jobs key =
-  let lines = String.split_on_char '\n' key in
-  let field name line =
-    let prefix = name ^ " " in
-    let plen = String.length prefix in
-    if String.length line > plen && String.sub line 0 plen = prefix then
-      Some (String.sub line plen (String.length line - plen))
-    else None
-  in
-  let ( let* ) = Option.bind in
-  match lines with
-  | [ magic; stamp_l; name_l; machine_l; seed_l; scale_l; intervals_l; spi_l; period_l;
-      kmax_l; folds_l; tol_l; "" ] ->
-      let* () =
-        if magic = Printf.sprintf "fuzzykey %d" Version.entry_format then Some () else None
-      in
-      let* stamp = field "stamp" stamp_l in
-      let* () = if stamp = Version.code_stamp then Some () else None in
-      let* name = field "name" name_l in
-      let* machine_name = field "machine" machine_l in
-      let* machine =
-        match March.Config.by_name machine_name with
-        | m -> Some m
-        | exception Not_found -> None
-      in
-      let int_field label line =
-        let* s = field label line in
-        int_of_string_opt s
-      in
-      let float_field label line =
-        let* s = field label line in
-        float_of_string_opt s
-      in
-      let* seed = int_field "seed" seed_l in
-      let* scale = float_field "scale" scale_l in
-      let* intervals = int_field "intervals" intervals_l in
-      let* samples_per_interval = int_field "samples_per_interval" spi_l in
-      let* period = int_field "period" period_l in
-      let* kmax = int_field "kmax" kmax_l in
-      let* folds = int_field "folds" folds_l in
-      let* kopt_tol = float_field "kopt_tol" tol_l in
-      Some
-        ( {
-            Fuzzy.Analysis.seed;
-            scale;
-            machine;
-            intervals;
-            samples_per_interval;
-            period;
-            kmax;
-            folds;
-            kopt_tol;
-            jobs;
-          },
-          name )
-  | _ -> None
+  let hlen = String.length header in
+  if String.starts_with ~prefix:header key then
+    Fuzzy.Analysis.of_key ~jobs (String.sub key hlen (String.length key - hlen))
+  else None
 
 (* ----------------------------- payloads ----------------------------- *)
 

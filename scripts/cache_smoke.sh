@@ -11,72 +11,28 @@
 # the two servers produced.
 set -eu
 
-EXE=_build/default/bin/repro.exe
+NAME=cache-smoke
 OUT=_build/cache-smoke
 SOCK="${TMPDIR:-/tmp}/repro-cache-smoke-$$.sock"
 STORE="$OUT/store"
 STEP_TIMEOUT="${SERVE_SMOKE_TIMEOUT:-120}"   # seconds per client step
 DRAIN_TIMEOUT="${SERVE_SMOKE_DRAIN:-30}"     # seconds for server exit after shutdown
 
-[ -x "$EXE" ] || { echo "cache-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
+# shellcheck source=scripts/serve_lib.sh
+. scripts/serve_lib.sh
+
+require_built "$EXE"
 rm -rf "$OUT"
 mkdir -p "$OUT"
 rm -f "$SOCK"
-
-SERVER_PID=""
-
-diagnostics() {
-    for f in server1 server2; do
-        echo "cache-smoke: ---- $f.err (tail) ----" >&2
-        tail -n 40 "$OUT/$f.err" >&2 2>/dev/null || true
-    done
-}
-
-fail() {
-    echo "cache-smoke: $1" >&2
-    diagnostics
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    exit 1
-}
-
-bounded() {
-    if command -v timeout > /dev/null 2>&1; then
-        timeout "$STEP_TIMEOUT" "$@"
-    else
-        "$@"
-    fi
-}
-
-start_server() {
-    "$EXE" serve --quick --socket "$SOCK" --jobs 2 --store "$STORE" \
-        > "$OUT/$1.out" 2> "$OUT/$1.err" &
-    SERVER_PID=$!
-}
-
-stop_server() {
-    bounded "$EXE" client --socket "$SOCK" shutdown > /dev/null \
-        || fail "client shutdown failed or timed out (${STEP_TIMEOUT}s)"
-    waited=0
-    while kill -0 "$SERVER_PID" 2>/dev/null; do
-        if [ "$waited" -ge "$DRAIN_TIMEOUT" ]; then
-            fail "server still running ${DRAIN_TIMEOUT}s after shutdown request"
-        fi
-        sleep 1
-        waited=$((waited + 1))
-    done
-    wait "$SERVER_PID" || fail "server exited non-zero"
-    SERVER_PID=""
-}
 
 # A stats metric, by exact key, from a rendered snapshot.
 metric() {
     awk -v key="$2" '$1 == key { print $2 }' "$1"
 }
 
-trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi; rm -f "$SOCK"' EXIT
-
 # ---- round 1: cold store ------------------------------------------------
-start_server server1
+start_server server1 --jobs 2 --store "$STORE"
 bounded "$EXE" client --wait --socket "$SOCK" analyze gcc > "$OUT/analyze1.out" \
   || fail "round 1 analyze failed or timed out (${STEP_TIMEOUT}s)"
 bounded "$EXE" client --socket "$SOCK" stats > "$OUT/stats1.out" \
@@ -87,7 +43,7 @@ writes=$(metric "$OUT/stats1.out" store.writes)
 [ "${writes:-0}" -ge 1 ] || fail "round 1 persisted nothing (store.writes=$writes)"
 
 # ---- round 2: warm restart ---------------------------------------------
-start_server server2
+start_server server2 --jobs 2 --store "$STORE"
 bounded "$EXE" client --wait --socket "$SOCK" analyze gcc > "$OUT/analyze2.out" \
   || fail "round 2 analyze failed or timed out (${STEP_TIMEOUT}s)"
 bounded "$EXE" client --socket "$SOCK" stats > "$OUT/stats2.out" \

@@ -21,7 +21,7 @@
 #   LOAD_REQUESTS M             requests per client (default 60)
 set -eu
 
-EXE=_build/default/bin/repro.exe
+NAME=load-smoke
 BENCH=_build/default/bench/main.exe
 OUT=_build/load-smoke
 STEP_TIMEOUT="${LOAD_SMOKE_TIMEOUT:-180}"
@@ -29,37 +29,17 @@ DRAIN_TIMEOUT="${LOAD_SMOKE_DRAIN:-30}"
 SHARDS="${LOAD_SHARDS:-4}"
 CLIENTS="${LOAD_CLIENTS:-8}"
 REQUESTS="${LOAD_REQUESTS:-60}"
+SOCK=""   # one per phase, set in run_phase
+
+# shellcheck source=scripts/serve_lib.sh
+. scripts/serve_lib.sh
+EXTRA_LOGS="$OUT/loadgen.out"
 
 EVLOOP_ARGS=""
 [ -n "${LOAD_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${LOAD_EVLOOP}"
 
-[ -x "$EXE" ] || { echo "load-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
-[ -x "$BENCH" ] || { echo "load-smoke: $BENCH not built (run dune build @all)" >&2; exit 1; }
+require_built "$EXE" "$BENCH"
 mkdir -p "$OUT"
-
-SERVER_PID=""
-
-diagnostics() {
-    echo "load-smoke: ---- server.err (tail) ----" >&2
-    tail -n 40 "$OUT/server.err" >&2 2>/dev/null || true
-    echo "load-smoke: ---- loadgen.out ----" >&2
-    cat "$OUT/loadgen.out" >&2 2>/dev/null || true
-}
-
-fail() {
-    echo "load-smoke: $1" >&2
-    diagnostics
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    exit 1
-}
-
-bounded() {
-    if command -v timeout > /dev/null 2>&1; then
-        timeout "$STEP_TIMEOUT" "$@"
-    else
-        "$@"
-    fi
-}
 
 # run_phase <name> <expected-refusals: zero|some> [extra serve flags...]
 run_phase() {
@@ -67,10 +47,7 @@ run_phase() {
     SOCK="${TMPDIR:-/tmp}/repro-load-$$-$PHASE.sock"
     rm -f "$SOCK"
     # shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
-    "$EXE" serve --quick --socket "$SOCK" --jobs 2 \
-        --io-shards "$SHARDS" $EVLOOP_ARGS "$@" \
-        > "$OUT/server.out" 2> "$OUT/server.err" &
-    SERVER_PID=$!
+    start_server server --jobs 2 --io-shards "$SHARDS" $EVLOOP_ARGS "$@"
 
     # Readiness probe outside the measured load.
     bounded "$EXE" client --wait --socket "$SOCK" health > /dev/null \
@@ -90,22 +67,9 @@ run_phase() {
               && fail "$PHASE: rate limiting produced no typed refusals" ;;
     esac
 
-    bounded "$EXE" client --socket "$SOCK" shutdown > /dev/null \
-      || fail "$PHASE: shutdown failed"
-    waited=0
-    while kill -0 "$SERVER_PID" 2>/dev/null; do
-        if [ "$waited" -ge "$DRAIN_TIMEOUT" ]; then
-            fail "$PHASE: server still running ${DRAIN_TIMEOUT}s after shutdown"
-        fi
-        sleep 1
-        waited=$((waited + 1))
-    done
-    wait "$SERVER_PID" || fail "$PHASE: server exited non-zero"
-    SERVER_PID=""
+    stop_server "$PHASE: "
     rm -f "$SOCK"
 }
-
-trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi' EXIT
 
 run_phase open zero
 run_phase limited some --rate-burst 2 --rate-every 1000000

@@ -9,9 +9,6 @@
 # --metrics-port 0, GET /metrics must pass scripts/check_metrics.sh,
 # GET /health must answer 200 and unknown paths 404.
 #
-# Uses the built binary directly (not `dune exec`) so the background
-# server and the foreground client don't fight over the dune lock.
-#
 # Every step is bounded: client calls run under `timeout` (when the
 # platform has it) and the final server drain is a polled wait, so a
 # wedged server fails the smoke with diagnostics instead of hanging CI
@@ -22,53 +19,25 @@
 # backends; byte-equality against the offline CLI must hold under all.
 set -eu
 
-EXE=_build/default/bin/repro.exe
+NAME=serve-smoke
 OUT=_build/serve-smoke
 SOCK="${TMPDIR:-/tmp}/repro-smoke-$$.sock"
 STEP_TIMEOUT="${SERVE_SMOKE_TIMEOUT:-120}"   # seconds per client step
 DRAIN_TIMEOUT="${SERVE_SMOKE_DRAIN:-30}"     # seconds for server exit after shutdown
 SHARDS="${SERVE_SHARDS:-1}"
 
+# shellcheck source=scripts/serve_lib.sh
+. scripts/serve_lib.sh
+
 EVLOOP_ARGS=""
 [ -n "${SERVE_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${SERVE_EVLOOP}"
 
-[ -x "$EXE" ] || { echo "serve-smoke: $EXE not built (run dune build @all)" >&2; exit 1; }
+require_built "$EXE"
 mkdir -p "$OUT"
 rm -f "$SOCK"
 
-# Dump what the server said before failing — a hung or crashed server is
-# useless to debug from "cmp: EOF".
-diagnostics() {
-    echo "serve-smoke: ---- server.out (tail) ----" >&2
-    tail -n 40 "$OUT/server.out" >&2 2>/dev/null || true
-    echo "serve-smoke: ---- server.err (tail) ----" >&2
-    tail -n 40 "$OUT/server.err" >&2 2>/dev/null || true
-}
-
-fail() {
-    echo "serve-smoke: $1" >&2
-    diagnostics
-    kill -9 "$SERVER_PID" 2>/dev/null || true
-    exit 1
-}
-
-# Run a client step under a bounded wall clock.  `timeout` is in
-# coreutils and busybox; if some exotic host lacks it, run unbounded
-# rather than skip the step.
-bounded() {
-    if command -v timeout > /dev/null 2>&1; then
-        timeout "$STEP_TIMEOUT" "$@"
-    else
-        "$@"
-    fi
-}
-
 # shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
-"$EXE" serve --quick --socket "$SOCK" --jobs 2 --io-shards "$SHARDS" \
-    --metrics-port 0 $EVLOOP_ARGS \
-    > "$OUT/server.out" 2> "$OUT/server.err" &
-SERVER_PID=$!
-trap 'kill "$SERVER_PID" 2>/dev/null || true; rm -f "$SOCK"' EXIT
+start_server server --jobs 2 --io-shards "$SHARDS" --metrics-port 0 $EVLOOP_ARGS
 
 # --wait retries while the server is still binding the socket.
 bounded "$EXE" client --wait --socket "$SOCK" analyze gcc > "$OUT/served-analyze.out" \
@@ -82,9 +51,7 @@ grep -q "requests.total" "$OUT/stats.out" \
 # /health must answer 200 while serving, unknown paths 404.  Skipped
 # (with a note) only if the host has no curl.
 if command -v curl > /dev/null 2>&1; then
-    MPORT=$(sed -n 's|.*metrics listening on http://127\.0\.0\.1:\([0-9]*\)/metrics.*|\1|p' \
-        "$OUT/server.err")
-    [ -n "$MPORT" ] || fail "no 'metrics listening' line on server stderr"
+    await_metrics_port || fail "no 'metrics listening' line on server stderr"
     curl -s "http://127.0.0.1:$MPORT/metrics" > "$OUT/metrics.txt" \
       || fail "GET /metrics failed"
     sh scripts/check_metrics.sh "$OUT/metrics.txt" \
@@ -106,20 +73,8 @@ grep -q "serve metrics" "$OUT/status.out" \
   || fail "serve --status did not render metrics"
 
 # Graceful shutdown: the server must drain and exit 0 on its own within
-# the drain budget.  Poll instead of a bare `wait` so a wedged drain
-# cannot hang the smoke.
-bounded "$EXE" client --socket "$SOCK" shutdown > /dev/null \
-  || fail "client shutdown failed or timed out (${STEP_TIMEOUT}s)"
-waited=0
-while kill -0 "$SERVER_PID" 2>/dev/null; do
-    if [ "$waited" -ge "$DRAIN_TIMEOUT" ]; then
-        fail "server still running ${DRAIN_TIMEOUT}s after shutdown request"
-    fi
-    sleep 1
-    waited=$((waited + 1))
-done
-wait "$SERVER_PID" || fail "server exited non-zero"
-trap 'rm -f "$SOCK"' EXIT
+# the drain budget.
+stop_server
 
 # The served report must be byte-identical to the offline CLI at the
 # same analysis configuration (jobs is excluded from the cache key and

@@ -33,7 +33,7 @@
 #   SOAK_P99_TOL   X             normalised p99 budget multiplier (default 4.0)
 set -eu
 
-EXE=_build/default/bin/repro.exe
+NAME=soak
 BENCH=_build/default/bench/main.exe
 OUT=_build/soak
 BASELINE=BENCH_soak.json
@@ -46,58 +46,26 @@ RPS="${SOAK_RPS:-150}"
 DURATION="${SOAK_DURATION:-4}"
 TOL="${SOAK_P99_TOL:-4.0}"
 
+# shellcheck source=scripts/serve_lib.sh
+. scripts/serve_lib.sh
+EXTRA_LOGS="$OUT/soak.json"
+
 EVLOOP_ARGS=""
 [ -n "${SOAK_EVLOOP:-}" ] && EVLOOP_ARGS="--evloop ${SOAK_EVLOOP}"
 
-[ -x "$EXE" ] || { echo "soak: $EXE not built (run dune build @all)" >&2; exit 1; }
-[ -x "$BENCH" ] || { echo "soak: $BENCH not built (run dune build @all)" >&2; exit 1; }
+require_built "$EXE" "$BENCH"
 command -v curl > /dev/null 2>&1 || { echo "soak: curl is required" >&2; exit 1; }
 mkdir -p "$OUT"
 rm -f "$SOCK"
 
-SERVER_PID=""
-
-diagnostics() {
-    echo "soak: ---- server.err (tail) ----" >&2
-    tail -n 40 "$OUT/server.err" >&2 2>/dev/null || true
-    echo "soak: ---- soak.json ----" >&2
-    cat "$OUT/soak.json" >&2 2>/dev/null || true
-}
-
-fail() {
-    echo "soak: $1" >&2
-    diagnostics
-    if [ -n "$SERVER_PID" ]; then kill -9 "$SERVER_PID" 2>/dev/null || true; fi
-    exit 1
-}
-
-bounded() {
-    if command -v timeout > /dev/null 2>&1; then
-        timeout "$STEP_TIMEOUT" "$@"
-    else
-        "$@"
-    fi
-}
-
 # shellcheck disable=SC2086  # EVLOOP_ARGS is intentionally word-split
-"$EXE" serve --quick --socket "$SOCK" --jobs 2 --io-shards "$SHARDS" \
-    --metrics-port 0 $EVLOOP_ARGS \
-    > "$OUT/server.out" 2> "$OUT/server.err" &
-SERVER_PID=$!
-trap 'if [ -n "$SERVER_PID" ]; then kill "$SERVER_PID" 2>/dev/null || true; fi; rm -f "$SOCK"' EXIT
+start_server server --jobs 2 --io-shards "$SHARDS" --metrics-port 0 $EVLOOP_ARGS
 
 # The server reports the OS-assigned metrics port on stderr.
-MPORT=""
-waited=0
-while [ -z "$MPORT" ]; do
-    MPORT=$(sed -n 's|.*metrics listening on http://127\.0\.0\.1:\([0-9]*\)/metrics.*|\1|p' \
-        "$OUT/server.err" 2>/dev/null || true)
-    [ -n "$MPORT" ] && break
-    kill -0 "$SERVER_PID" 2>/dev/null || fail "server died before binding the metrics port"
-    [ "$waited" -ge 100 ] && fail "no 'metrics listening' line within 10s"
-    sleep 0.1
-    waited=$((waited + 1))
-done
+await_metrics_port || case $? in
+    1) fail "server died before binding the metrics port" ;;
+    *) fail "no 'metrics listening' line within 10s" ;;
+esac
 METRICS_URL="http://127.0.0.1:$MPORT/metrics"
 HEALTH_URL="http://127.0.0.1:$MPORT/health"
 
@@ -198,16 +166,7 @@ done
 wait $BG_PIDS || true
 [ "$saw503" = "1" ] || fail "/health never answered 503 during the drain"
 
-waited=0
-while kill -0 "$SERVER_PID" 2>/dev/null; do
-    if [ "$waited" -ge "$DRAIN_TIMEOUT" ]; then
-        fail "server still running ${DRAIN_TIMEOUT}s after shutdown"
-    fi
-    sleep 1
-    waited=$((waited + 1))
-done
-wait "$SERVER_PID" || fail "server exited non-zero"
-SERVER_PID=""
+await_exit
 
 # CI step summary: a small markdown table when the workflow provides it.
 if [ -n "${GITHUB_STEP_SUMMARY:-}" ]; then

@@ -69,6 +69,33 @@ let test_valid_invocations_still_work () =
   let code, _ = run_repro [ "cache"; "gc"; "--dir"; "_cli-test-store" ] in
   Alcotest.(check int) "cache gc (no budgets) exits 0" 0 code
 
+(* A client pointed at a socket nobody serves must exit 1 with one line
+   naming the address and the reason — not an uncaught Unix_error.  Both
+   failure shapes: no socket file (ENOENT) and a stale socket file with
+   no listener (ECONNREFUSED). *)
+let test_unreachable_server () =
+  let missing = Filename.temp_file "repro-cli" ".sock" in
+  Sys.remove missing;
+  let stale = Filename.temp_file "repro-cli" ".sock" in
+  Sys.remove stale;
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX stale);
+  Unix.close fd;
+  Fun.protect
+    ~finally:(fun () -> Sys.remove stale)
+    (fun () ->
+      List.iter
+        (fun (path, reason) ->
+          let expect = Printf.sprintf "cannot connect to unix:%s: %s\n" path reason in
+          List.iter
+            (fun args ->
+              let code, text = run_repro (args @ [ "--socket"; path ]) in
+              let ctx = String.concat " " args in
+              Alcotest.(check int) (ctx ^ ": exit 1") 1 code;
+              Alcotest.(check string) (ctx ^ ": one line") expect text)
+            [ [ "client"; "health" ]; [ "serve"; "--status" ] ])
+        [ (missing, "No such file or directory"); (stale, "Connection refused") ])
+
 let () =
   Alcotest.run "cli"
     [
@@ -80,4 +107,6 @@ let () =
           Alcotest.test_case "valid invocations unaffected" `Quick
             test_valid_invocations_still_work;
         ] );
+      ( "client",
+        [ Alcotest.test_case "unreachable server exits 1" `Quick test_unreachable_server ] );
     ]

@@ -66,7 +66,21 @@ let test_key_roundtrip () =
 let test_key_ignores_jobs () =
   let k1 = Store.Codec.canonical_key { config with Analysis.jobs = 1 } "gcc" in
   let k4 = Store.Codec.canonical_key { config with Analysis.jobs = 4 } "gcc" in
-  Alcotest.(check string) "jobs not in key" k1 k4
+  Alcotest.(check string) "jobs not in key" k1 k4;
+  Alcotest.(check string) "jobs not in memory key"
+    (Analysis.key { config with Analysis.jobs = 1 } "gcc")
+    (Analysis.key { config with Analysis.jobs = 4 } "gcc");
+  (* Every other field is: floats that print alike under %f must still
+     key apart, in the memory tier as in the store. *)
+  let near = { config with Analysis.kopt_tol = 0.0050001 } in
+  Alcotest.(check bool) "kopt_tol 0.005 vs 0.0050001 key apart" true
+    (Analysis.key config "gcc" <> Analysis.key near "gcc");
+  isolated (fun () ->
+      ignore (Experiments.analyze_cached config "gcc");
+      Alcotest.(check bool) "near-duplicate kopt_tol is not a memory hit" false
+        (Experiments.cached near "gcc");
+      Alcotest.(check bool) "near-duplicate kopt_tol answered with its own config" true
+        ((Experiments.analyze_cached near "gcc").Analysis.config = near))
 
 let test_key_rejects_foreign () =
   let key = Store.Codec.canonical_key config "gcc" in
@@ -255,7 +269,30 @@ let test_warm_restart_in_process () =
       Alcotest.(check string) "warmed result byte-identical" first second;
       let c = Option.get (Store.Result_cache.counters ()) in
       Alcotest.(check int) "warm load counted as store hit" 1 c.Store.Cas.hits;
-      Alcotest.(check int) "warm wrote nothing" 0 c.Store.Cas.writes)
+      Alcotest.(check int) "warm wrote nothing" 0 c.Store.Cas.writes);
+  (* Two scales that print alike under %f: a store holding both warms
+     both, and each configuration is answered with its own analysis. *)
+  isolated (fun () ->
+      let dir = fresh_dir () in
+      let c1 = { config with Analysis.scale = 0.25 }
+      and c2 = { config with Analysis.scale = 0.2500001 } in
+      Store.Result_cache.attach ~dir;
+      ignore (Experiments.analyze_cached c1 "gcc");
+      ignore (Experiments.analyze_cached c2 "gcc");
+      Store.Result_cache.detach ();
+      Experiments.clear_cache ();
+      Store.Result_cache.attach ~dir;
+      Alcotest.(check int) "both scales warmed" 2
+        (Store.Result_cache.warm ~jobs:config.Analysis.jobs ());
+      List.iter
+        (fun (cfg : Analysis.config) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "scale %h answered with its own analysis" cfg.Analysis.scale)
+            true
+            ((Experiments.analyze_cached cfg "gcc").Analysis.config = cfg))
+        [ c1; c2 ];
+      let c = Option.get (Store.Result_cache.counters ()) in
+      Alcotest.(check int) "both served from the warmed tier" 0 c.Store.Cas.writes)
 
 (* Single-flight: many concurrent requests for one uncached key must
    probe and persist the disk tier exactly once. *)
