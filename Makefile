@@ -100,8 +100,9 @@ bench:
 
 # Benchmark-regression gate (DESIGN.md §12): time the core kernels and
 # compare against the committed BENCH_core.json baseline.  Fails on a
-# >1.5x normalised median slowdown or if tree_build / cv_curve fall
-# under 2x their Reference implementations.
+# >1.5x normalised median slowdown, if tree_build / cv_curve fall
+# under 2x their Reference implementations, or if march_replay falls
+# under 1.25x.
 bench-gate: build
 	dune exec bench/main.exe -- --quick --json > _build/BENCH_core.fresh.json
 	sh scripts/bench_gate.sh BENCH_core.json _build/BENCH_core.fresh.json

@@ -139,10 +139,62 @@ type core_kernel = {
   ck_name : string;
   ck_reps : int;
   ck_median_ms : float;  (* optimized implementation *)
-  ck_ref_median_ms : float;  (* Tree.Reference / Cv.Reference side *)
+  ck_ref_median_ms : float;  (* the Reference side (Tree, Cv, Tlb + Cache) *)
 }
 
 let ck_speedup k = k.ck_ref_median_ms /. k.ck_median_ms
+
+(* The simulator kernel: a fixed synthetic data-reference stream (seed
+   41, 200k references) with workload-like locality -- 60% to a hot
+   16 KB region, 25% to a warm 4 MB one, 10% to a cold 512 MB one and 5%
+   to a sequential scan -- replayed from cold through itanium2's D-TLB
+   (128 entries) and data hierarchy, the path every simulated data
+   reference takes in Cpu.run. *)
+let march_stream () =
+  let rng = Stats.Rng.create 41 in
+  let scan = ref 0 in
+  Array.init 200_000 (fun _ ->
+      let r = Stats.Rng.int rng 100 in
+      if r < 60 then 0x1000_0000 + Stats.Rng.int rng (16 lsl 10)
+      else if r < 85 then 0x2000_0000 + Stats.Rng.int rng (4 lsl 20)
+      else if r < 95 then 0x4000_0000 + Stats.Rng.int rng (512 lsl 20)
+      else begin
+        scan := !scan + 8;
+        0x8000_0000 + !scan
+      end)
+
+(* Both replays return (TLB misses, L1D misses, memory accesses). *)
+let replay_stream (m : March.Config.t) stream =
+  let tlb = March.Tlb.create ~entries:m.tlb_entries ~page_bytes:m.page_bytes in
+  let hier = March.Hierarchy.create m in
+  let tlb_misses = ref 0 and l1_misses = ref 0 in
+  for i = 0 to Array.length stream - 1 do
+    let a = stream.(i) in
+    if not (March.Tlb.access tlb a) then incr tlb_misses;
+    if March.Hierarchy.access_data hier a <> March.Hierarchy.L1 then incr l1_misses
+  done;
+  (!tlb_misses, !l1_misses, March.Hierarchy.mem_data_accesses hier)
+
+(* The same walk as Hierarchy.access_data (inclusive, allocate on miss)
+   over the Reference TLB and caches. *)
+let replay_stream_reference (m : March.Config.t) stream =
+  let module C = March.Cache.Reference in
+  let cache (g : March.Config.geometry) =
+    C.create ~size_bytes:g.size_bytes ~ways:g.ways ~line_bytes:g.line_bytes
+  in
+  let tlb = March.Tlb.Reference.create ~entries:m.tlb_entries ~page_bytes:m.page_bytes in
+  let l1d = cache m.l1d and l2 = cache m.l2 and l3 = Option.map cache m.l3 in
+  let tlb_misses = ref 0 and l1_misses = ref 0 and mem = ref 0 in
+  for i = 0 to Array.length stream - 1 do
+    let a = stream.(i) in
+    if not (March.Tlb.Reference.access tlb a) then incr tlb_misses;
+    if not (C.access l1d a) then begin
+      incr l1_misses;
+      if not (C.access l2 a) then
+        match l3 with Some l3 when C.access l3 a -> () | _ -> incr mem
+    end
+  done;
+  (!tlb_misses, !l1_misses, !mem)
 
 (* The acceptance dataset: 128 intervals x 2000 features, 60 stored
    entries per row (same shape the ablation benches use). *)
@@ -210,7 +262,19 @@ let run_core_kernels ~quick =
       ck_ref_median_ms = time_reps reps_sweep (batched predict_all);
     }
   in
-  (calib_ms, [ tree_build; cv_curve; predict_k_sweep ])
+  let march_replay =
+    let m = March.Config.itanium2 and stream = march_stream () in
+    if replay_stream m stream <> replay_stream_reference m stream then
+      failwith "march_replay: the model and its Reference disagree";
+    let reps = if quick then 9 else 15 in
+    {
+      ck_name = "march_replay";
+      ck_reps = reps;
+      ck_median_ms = time_reps reps (fun () -> replay_stream m stream);
+      ck_ref_median_ms = time_reps reps (fun () -> replay_stream_reference m stream);
+    }
+  in
+  (calib_ms, [ tree_build; cv_curve; predict_k_sweep; march_replay ])
 
 let core_json (calib_ms, kernels) =
   let b = Buffer.create 1024 in

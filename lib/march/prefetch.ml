@@ -24,38 +24,43 @@ let create ?(streams = 8) ?(degree = 4) ?(line_bytes = 64) () =
     issued = 0;
   }
 
-let on_miss t addr =
+(* Does a miss on [line] extend stream [s]?  Allow a gap of one line so
+   interleaved accesses (two 64B halves of a 128B fetch, or a second
+   stream) do not break detection. *)
+let extends s line = s.last_line >= 0 && line > s.last_line && line - s.last_line <= 2
+
+let on_miss t addr ~install =
   let line = addr / t.line_bytes in
   t.tick <- t.tick + 1;
-  (* Does this miss extend a tracked stream?  Allow a gap of one line so
-     interleaved accesses (two 64B halves of a 128B fetch, or a second
-     stream) do not break detection. *)
-  let rec find i =
-    if i >= Array.length t.slots then None
-    else
-      let s = t.slots.(i) in
-      if s.last_line >= 0 && line > s.last_line && line - s.last_line <= 2 then Some s
-      else find (i + 1)
-  in
-  match find 0 with
-  | Some s ->
-      s.last_line <- line;
-      s.stamp <- t.tick;
-      if not s.confirmed then begin
-        s.confirmed <- true;
-        t.confirmed_total <- t.confirmed_total + 1
-      end;
-      let fetches = List.init t.degree (fun k -> (line + 1 + k) * t.line_bytes) in
-      t.issued <- t.issued + t.degree;
-      fetches
-  | None ->
-      (* Allocate a tracker, evicting the least recently advanced. *)
-      let victim = ref t.slots.(0) in
-      Array.iter (fun s -> if s.stamp < !victim.stamp then victim := s) t.slots;
-      !victim.last_line <- line;
-      !victim.confirmed <- false;
-      !victim.stamp <- t.tick;
-      []
+  let n = Array.length t.slots in
+  let i = ref 0 in
+  while !i < n && not (extends t.slots.(!i) line) do
+    incr i
+  done;
+  if !i < n then begin
+    let s = t.slots.(!i) in
+    s.last_line <- line;
+    s.stamp <- t.tick;
+    if not s.confirmed then begin
+      s.confirmed <- true;
+      t.confirmed_total <- t.confirmed_total + 1
+    end;
+    for k = 0 to t.degree - 1 do
+      install ((line + 1 + k) * t.line_bytes)
+    done;
+    t.issued <- t.issued + t.degree
+  end
+  else begin
+    (* Allocate a tracker, evicting the least recently advanced. *)
+    let victim = ref 0 in
+    for j = 1 to n - 1 do
+      if t.slots.(j).stamp < t.slots.(!victim).stamp then victim := j
+    done;
+    let v = t.slots.(!victim) in
+    v.last_line <- line;
+    v.confirmed <- false;
+    v.stamp <- t.tick
+  end
 
 let confirmed_streams t = t.confirmed_total
 

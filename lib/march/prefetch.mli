@@ -14,10 +14,11 @@ val create : ?streams:int -> ?degree:int -> ?line_bytes:int -> unit -> t
 (** [streams] (default 8) concurrent stream trackers; [degree]
     (default 4) lines fetched ahead once a stream is confirmed. *)
 
-val on_miss : t -> int -> int list
-(** [on_miss t addr] observes a miss and returns the addresses the
-    prefetcher would fetch (possibly empty).  Detection needs two
-    consecutive-line misses to confirm a stream. *)
+val on_miss : t -> int -> install:(int -> unit) -> unit
+(** [on_miss t addr ~install] observes a miss and calls [install] on each
+    address the prefetcher fetches, in ascending order (none until a
+    stream is confirmed).  Detection needs two consecutive-line misses to
+    confirm a stream.  Allocates nothing itself. *)
 
 val confirmed_streams : t -> int
 (** Total streams confirmed so far (statistics). *)

@@ -7,10 +7,16 @@ module Rng = Stats.Rng
 
 (* ------------------------------ Prefetch --------------------------- *)
 
+(* The addresses one miss makes the prefetcher install, in order. *)
+let on_miss pf addr =
+  let got = ref [] in
+  Prefetch.on_miss pf addr ~install:(fun a -> got := a :: !got);
+  List.rev !got
+
 let test_prefetch_detects_stream () =
   let pf = Prefetch.create ~degree:4 ~line_bytes:64 () in
-  Alcotest.(check (list int)) "first miss trains only" [] (Prefetch.on_miss pf 0x1000);
-  let fetches = Prefetch.on_miss pf 0x1040 in
+  Alcotest.(check (list int)) "first miss trains only" [] (on_miss pf 0x1000);
+  let fetches = on_miss pf 0x1040 in
   Alcotest.(check int) "confirmed stream issues degree" 4 (List.length fetches);
   Alcotest.(check (list int)) "next lines" [ 0x1080; 0x10C0; 0x1100; 0x1140 ] fetches;
   Alcotest.(check int) "one stream" 1 (Prefetch.confirmed_streams pf)
@@ -19,7 +25,7 @@ let test_prefetch_ignores_random () =
   let pf = Prefetch.create () in
   let rng = Rng.create 3 in
   for _ = 1 to 500 do
-    ignore (Prefetch.on_miss pf (Rng.int rng (1 lsl 28)))
+    ignore (on_miss pf (Rng.int rng (1 lsl 28)))
   done;
   Alcotest.(check bool)
     (Printf.sprintf "few false streams (%d)" (Prefetch.confirmed_streams pf))
@@ -31,19 +37,19 @@ let test_prefetch_tracks_multiple_streams () =
   (* Two interleaved ascending streams. *)
   let issued = ref 0 in
   for i = 0 to 19 do
-    issued := !issued + List.length (Prefetch.on_miss pf (0x10000 + (i * 64)));
-    issued := !issued + List.length (Prefetch.on_miss pf (0x90000 + (i * 64)))
+    issued := !issued + List.length (on_miss pf (0x10000 + (i * 64)));
+    issued := !issued + List.length (on_miss pf (0x90000 + (i * 64)))
   done;
   Alcotest.(check int) "both streams confirmed" 2 (Prefetch.confirmed_streams pf);
   Alcotest.(check bool) "prefetches issued" true (!issued > 50)
 
 let test_prefetch_reset () =
   let pf = Prefetch.create () in
-  ignore (Prefetch.on_miss pf 0x1000);
-  ignore (Prefetch.on_miss pf 0x1040);
+  ignore (on_miss pf 0x1000);
+  ignore (on_miss pf 0x1040);
   Prefetch.reset pf;
   Alcotest.(check int) "stats cleared" 0 (Prefetch.confirmed_streams pf);
-  Alcotest.(check (list int)) "state cleared" [] (Prefetch.on_miss pf 0x1080)
+  Alcotest.(check (list int)) "state cleared" [] (on_miss pf 0x1080)
 
 let test_prefetch_lowers_stream_cpi () =
   (* End to end: a sequential stream costs less with the prefetcher. *)

@@ -77,6 +77,17 @@ let test_cache_rejects_geometry () =
     (Invalid_argument "Cache.create: line size must be a power of two") (fun () ->
       ignore (Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:60))
 
+let test_cache_rejects_negative_address () =
+  (* Line -1 was the invalid-way marker: the old model reported a hit. *)
+  let r = Cache.Reference.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 in
+  Alcotest.(check bool) "reference aliases the empty marker" true (Cache.Reference.access r (-64));
+  let c = Cache.create ~size_bytes:4096 ~ways:4 ~line_bytes:64 in
+  Alcotest.check_raises "access" (Invalid_argument "Cache.access: negative address") (fun () ->
+      ignore (Cache.access c (-64)));
+  Alcotest.check_raises "probe" (Invalid_argument "Cache.probe: negative address") (fun () ->
+      ignore (Cache.probe c (-64)));
+  Alcotest.(check int) "nothing counted" 0 (Cache.accesses c)
+
 (* ------------------------------- Branch ---------------------------- *)
 
 let test_branch_learns_bias () =
@@ -141,6 +152,128 @@ let test_tlb_lru () =
   (* evicts page 1 *)
   Alcotest.(check bool) "page 0 resident" true (Tlb.access t 0x0000);
   Alcotest.(check bool) "page 1 evicted" false (Tlb.access t 0x1000)
+
+let page n = n * 4096
+
+let test_tlb_cold_fill_order () =
+  let t = Tlb.create ~entries:4 ~page_bytes:4096 in
+  (* A miss takes a free entry while one is left: nothing is evicted. *)
+  for p = 0 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "page %d cold" p) false (Tlb.access t (page p))
+  done;
+  for p = 0 to 3 do
+    Alcotest.(check bool) (Printf.sprintf "page %d kept" p) true (Tlb.access t (page p))
+  done;
+  (* Full: the next miss evicts the first page filled and touched. *)
+  Alcotest.(check bool) "page 4 misses" false (Tlb.access t (page 4));
+  Alcotest.(check bool) "page 1 kept" true (Tlb.access t (page 1));
+  Alcotest.(check bool) "page 0 evicted" false (Tlb.access t (page 0))
+
+let test_tlb_hit_refreshes_victim () =
+  let t = Tlb.create ~entries:3 ~page_bytes:4096 in
+  List.iter (fun p -> ignore (Tlb.access t (page p))) [ 0; 1; 2 ];
+  Alcotest.(check bool) "page 0 hits" true (Tlb.access t (page 0));
+  (* Page 1 is now the least recently used, not page 0. *)
+  Alcotest.(check bool) "page 3 misses" false (Tlb.access t (page 3));
+  Alcotest.(check bool) "page 0 kept" true (Tlb.access t (page 0));
+  Alcotest.(check bool) "page 2 kept" true (Tlb.access t (page 2));
+  Alcotest.(check bool) "page 3 kept" true (Tlb.access t (page 3));
+  Alcotest.(check bool) "page 1 evicted" false (Tlb.access t (page 1))
+
+let test_tlb_one_entry () =
+  let t = Tlb.create ~entries:1 ~page_bytes:4096 in
+  let outcomes = List.map (fun p -> Tlb.access t (page p)) [ 0; 0; 1; 1; 0; 2; 2 ] in
+  Alcotest.(check (list bool)) "only the last page is held"
+    [ false; true; false; true; false; false; true ]
+    outcomes;
+  Alcotest.(check int) "misses" 4 (Tlb.misses t)
+
+let test_tlb_miss_count () =
+  let t = Tlb.create ~entries:2 ~page_bytes:4096 in
+  (* A cycle over three pages in a two-entry LRU TLB misses every time. *)
+  for _ = 1 to 5 do
+    List.iter (fun p -> ignore (Tlb.access t (page p))) [ 0; 1; 2 ]
+  done;
+  Alcotest.(check int) "cyclic misses" 15 (Tlb.misses t);
+  ignore (Tlb.access t (page 2));
+  ignore (Tlb.access t (page 1));
+  Alcotest.(check int) "hits are not counted" 15 (Tlb.misses t)
+
+let test_tlb_page_boundaries () =
+  let t = Tlb.create ~entries:8 ~page_bytes:16384 in
+  Alcotest.(check bool) "first byte misses" false (Tlb.access t 0x8000);
+  Alcotest.(check bool) "last byte of the page hits" true (Tlb.access t 0xBFFF);
+  Alcotest.(check bool) "next page misses" false (Tlb.access t 0xC000);
+  Alcotest.(check bool) "previous page misses" false (Tlb.access t 0x7FFF);
+  Alcotest.(check bool) "start of the next page now hits" true (Tlb.access t 0xC000);
+  Alcotest.(check int) "three pages" 3 (Tlb.misses t)
+
+let test_tlb_rejects_negative_address () =
+  let r = Tlb.Reference.create ~entries:4 ~page_bytes:4096 in
+  Alcotest.(check bool) "reference aliases the empty marker" true (Tlb.Reference.access r (-1));
+  let t = Tlb.create ~entries:4 ~page_bytes:4096 in
+  Alcotest.check_raises "access" (Invalid_argument "Tlb.access: negative address") (fun () ->
+      ignore (Tlb.access t (-1)));
+  Alcotest.(check int) "nothing counted" 0 (Tlb.misses t)
+
+(* ----------------------- Reference equivalence --------------------- *)
+
+(* The O(1) TLB and the recency-ordered cache must give the reference
+   models' hit/miss outcome on every access of any trace.  Addresses come
+   from a small page or line space so that evictions dominate. *)
+
+let tlb_geometries =
+  List.sort_uniq compare
+    ((1, 4096) :: (5, 4096) :: List.map (fun c -> (c.Config.tlb_entries, c.Config.page_bytes)) Config.all)
+
+let prop_tlb_equals_reference (entries, page_bytes) =
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 800)
+        (triple bool (int_range 0 (entries + (entries / 2))) (int_range 0 (page_bytes - 1))))
+  in
+  QCheck2.Test.make ~count:100
+    ~name:(Printf.sprintf "Tlb == Reference (%d entries, %d B pages)" entries page_bytes)
+    gen (fun trace ->
+      let t = Tlb.create ~entries ~page_bytes and r = Tlb.Reference.create ~entries ~page_bytes in
+      List.for_all
+        (fun (high, p, off) ->
+          let addr = (((if high then 1 lsl 33 else 0) + p) * page_bytes) + off in
+          Tlb.access t addr = Tlb.Reference.access r addr)
+        trace
+      && Tlb.misses t = Tlb.Reference.misses r)
+
+let cache_geometries =
+  let presets =
+    List.concat_map
+      (fun c -> [ c.Config.l1i; c.Config.l1d; c.Config.l2 ] @ Option.to_list c.Config.l3)
+      Config.all
+  in
+  List.sort_uniq compare
+    ({ Config.size_bytes = 4096; ways = 1; line_bytes = 64 }
+    :: { Config.size_bytes = 64; ways = 1; line_bytes = 64 }
+    :: presets)
+
+let prop_cache_equals_reference (g : Config.geometry) =
+  let sets = g.size_bytes / (g.ways * g.line_bytes) in
+  (* A few sets, each offered twice as many tags as it has ways. *)
+  let gen =
+    QCheck2.Gen.(
+      list_size (int_range 1 800)
+        (triple (int_range 0 (min 3 (sets - 1))) (int_range 0 (2 * g.ways)) (int_range 0 (g.line_bytes - 1))))
+  in
+  QCheck2.Test.make ~count:100
+    ~name:(Printf.sprintf "Cache == Reference (%d B, %d ways, %d B lines)" g.size_bytes g.ways g.line_bytes)
+    gen (fun trace ->
+      let c = Cache.create ~size_bytes:g.size_bytes ~ways:g.ways ~line_bytes:g.line_bytes
+      and r = Cache.Reference.create ~size_bytes:g.size_bytes ~ways:g.ways ~line_bytes:g.line_bytes in
+      List.for_all
+        (fun (set, tag, off) ->
+          let addr = (((tag * sets) + set) * g.line_bytes) + off in
+          Cache.access c addr = Cache.Reference.access r addr)
+        trace
+      && Cache.accesses c = Cache.Reference.accesses r
+      && Cache.miss_rate c = Cache.Reference.miss_rate r)
 
 (* ------------------------------ Config ----------------------------- *)
 
@@ -317,6 +450,7 @@ let () =
           Alcotest.test_case "probe is read-only" `Quick test_cache_probe_no_state_change;
           Alcotest.test_case "clear" `Quick test_cache_clear;
           Alcotest.test_case "rejects bad geometry" `Quick test_cache_rejects_geometry;
+          Alcotest.test_case "rejects negative address" `Quick test_cache_rejects_negative_address;
         ] );
       ( "branch",
         [
@@ -329,7 +463,17 @@ let () =
         [
           Alcotest.test_case "hit/miss" `Quick test_tlb_hit_miss;
           Alcotest.test_case "LRU" `Quick test_tlb_lru;
+          Alcotest.test_case "cold fill order" `Quick test_tlb_cold_fill_order;
+          Alcotest.test_case "hit refreshes victim" `Quick test_tlb_hit_refreshes_victim;
+          Alcotest.test_case "one entry" `Quick test_tlb_one_entry;
+          Alcotest.test_case "miss count" `Quick test_tlb_miss_count;
+          Alcotest.test_case "page boundaries" `Quick test_tlb_page_boundaries;
+          Alcotest.test_case "rejects negative address" `Quick test_tlb_rejects_negative_address;
         ] );
+      ( "reference_equivalence",
+        List.map QCheck_alcotest.to_alcotest
+          (List.map prop_tlb_equals_reference tlb_geometries
+          @ List.map prop_cache_equals_reference cache_geometries) );
       ( "config",
         [
           Alcotest.test_case "presets valid" `Quick test_config_presets_valid;
