@@ -11,9 +11,10 @@ build:
 # compare the two bit-for-bit), the streaming CLI must print byte-identical
 # traces at both, the analysis server must answer byte-identically to the
 # offline CLI, the lint JSON reporter itself is golden-file compared on the
-# fixture tree (which must also make lint exit non-zero), and two end-to-end
-# CLI transcripts are golden-compared so the optimized tree/CV hot path can
-# never drift from the byte output it had before the rewrite.
+# fixture tree (which must also make lint exit non-zero), and end-to-end
+# CLI transcripts are golden-compared so the optimized tree/CV and march
+# hot paths can never drift from the byte output they had before their
+# rewrites (odb_c covers the buffer-cache path).
 check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-smoke
 	QCHECK_SEED=1 JOBS=1 dune runtest --force
 	QCHECK_SEED=1 JOBS=4 dune runtest --force
@@ -23,6 +24,8 @@ check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-s
 	cmp _build/stream-j1.out test/golden/stream-q13-mcf-quick.out
 	JOBS=1 dune exec bin/repro.exe -- analyze --quick gzip > _build/analyze-gzip.out
 	cmp _build/analyze-gzip.out test/golden/analyze-gzip-quick.out
+	JOBS=1 dune exec bin/repro.exe -- analyze --quick odb_c > _build/analyze-odb_c.out
+	cmp _build/analyze-odb_c.out test/golden/analyze-odb_c-quick.out
 	if dune exec bin/repro.exe -- lint --json --root test/lint_fixtures > _build/lint-fixtures.json 2>/dev/null; \
 	  then echo "lint fixtures unexpectedly clean" >&2; exit 1; fi
 	cmp _build/lint-fixtures.json test/lint_fixtures/golden.json

@@ -775,12 +775,6 @@ let zoo_list_cmd =
           scenario bit-for-bit.")
     Term.(const run $ quick $ zoo_all_term $ zoo_filter_term $ zoo_json_term)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    Sys.mkdir dir 0o755
-  end
-
 let zoo_gen_cmd =
   let quick =
     Arg.(
@@ -795,7 +789,7 @@ let zoo_gen_cmd =
   in
   let run quick all filter out =
     let scenarios = zoo_select ~quick ~all ~filter in
-    mkdir_p out;
+    Stats.Sealed.mkdir_p out;
     List.iter
       (fun s ->
         let m = s.Zoo.Scenarios.manifest in

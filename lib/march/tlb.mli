@@ -3,11 +3,12 @@
     TLB walks contribute to the OTHER stall component in the CPI
     breakdown.
 
-    Replacement is exact LRU at O(1) per access: a page-to-slot hash
-    table plus a recency list threaded through the slots.  A miss fills
-    the lowest free slot while one is left, then evicts the least
-    recently used page, so every hit/miss outcome equals
-    {!Reference.access}'s (QCheck-asserted, DESIGN.md §12). *)
+    Replacement is exact LRU at O(1) per access: the page number keys
+    the shared exact-LRU table {!Stats.Lru}, which also backs the
+    database buffer cache.  A miss fills the lowest free slot while one
+    is left, then evicts the least recently used page, so every hit/miss
+    outcome equals {!Reference.access}'s (QCheck-asserted, DESIGN.md
+    §12). *)
 
 type t
 
@@ -16,7 +17,7 @@ val create : entries:int -> page_bytes:int -> t
     power of two. *)
 
 val access : t -> int -> bool
-(** [true] on hit; allocates on miss.  Raises [Invalid_argument] on a
+(** [true] on hit.  Allocation-free.  Raises [Invalid_argument] on a
     negative address (page numbers are non-negative). *)
 
 val misses : t -> int

@@ -6,7 +6,8 @@
       <nregions> (<region> <instrs>)*"
      last line: "fuzzytrace-end <body_bytes> <adler32>"
    Floats are printed with %h (hex floats) so round-trips are exact.  The
-   trailer declares the byte length and Adler-32 checksum of everything
+   trailer (the Stats.Sealed seal, shared with the store's entry files)
+   declares the byte length and Adler-32 checksum of everything
    before it, so a truncated or bit-flipped archive is rejected with a
    clear error before any line is decoded.
 
@@ -15,17 +16,6 @@
    version 2. *)
 
 let version = 2
-
-(* Adler-32 (RFC 1950) — same checksum the serve wire format uses, kept
-   local because lib/serve depends on this library, not vice versa. *)
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  (!b lsl 16) lor !a
 
 let render_run (run : Driver.run) =
   let buf = Buffer.create 65536 in
@@ -46,58 +36,11 @@ let render_run (run : Driver.run) =
     run.Driver.samples;
   Buffer.contents buf
 
-let to_string run =
-  let body = render_run run in
-  Printf.sprintf "%sfuzzytrace-end %d %d\n" body (String.length body) (adler32 body)
+let to_string run = Stats.Sealed.seal ~magic:"fuzzytrace" (render_run run)
 
-let save (run : Driver.run) ~path =
-  (* Write to a temp file in the target directory and rename into place:
-     a crash mid-save can never leave a truncated archive at [path] that
-     [load] would then reject.  Same-directory rename keeps the move
-     atomic (no cross-filesystem copy). *)
-  let tmp = Filename.temp_file ~temp_dir:(Filename.dirname path) ".fuzzytrace" ".tmp" in
-  let oc = open_out_bin tmp in
-  (try
-     Fun.protect
-       ~finally:(fun () -> close_out oc)
-       (fun () -> output_string oc (to_string run))
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e);
-  Sys.rename tmp path
+let save (run : Driver.run) ~path = Stats.Sealed.write_file path (to_string run)
 
 let fail_fmt fmt = Printf.ksprintf failwith fmt
-
-(* Validate the trailer and return the body it covers.  Every corruption
-   mode gets its own message: missing/garbled trailer (foreign file or
-   cut off mid-line), length mismatch (truncated or grown) and checksum
-   mismatch (bit flips with the length intact). *)
-let checked_body ~path content =
-  let len = String.length content in
-  if len = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
-  if content.[len - 1] <> '\n' then
-    fail_fmt "Trace_io.load: %s: truncated (no final newline)" path;
-  let trailer_start =
-    match String.rindex_from_opt content (len - 2) '\n' with
-    | Some i -> i + 1
-    | None -> 0
-  in
-  let trailer = String.sub content trailer_start (len - 1 - trailer_start) in
-  let body = String.sub content 0 trailer_start in
-  let declared_len, declared_sum =
-    try Scanf.sscanf trailer "fuzzytrace-end %d %d%!" (fun a b -> (a, b))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-      fail_fmt "Trace_io.load: %s: missing end-of-trace trailer (truncated or not a trace)"
-        path
-  in
-  if String.length body <> declared_len then
-    fail_fmt "Trace_io.load: %s: truncated: %d body bytes, trailer declares %d" path
-      (String.length body) declared_len;
-  let sum = adler32 body in
-  if sum <> declared_sum then
-    fail_fmt "Trace_io.load: %s: checksum mismatch (corrupt trace): %#x, trailer declares %#x"
-      path sum declared_sum;
-  body
 
 let of_string ~label:path content =
   if String.length content = 0 then fail_fmt "Trace_io.load: %s: empty file" path;
@@ -109,7 +52,11 @@ let of_string ~label:path content =
   let body =
     (* v1 predates the trailer: nothing to validate against, so the body
        is the whole file.  Everything newer must carry a valid trailer. *)
-    if file_version = 1 then content else checked_body ~path content
+    if file_version = 1 then content
+    else
+      match Stats.Sealed.unseal ~magic:"fuzzytrace" content with
+      | Ok body -> body
+      | Error reason -> fail_fmt "Trace_io.load: %s: %s" path reason
   in
   let lines = String.split_on_char '\n' body in
   let header, sample_lines =
@@ -177,11 +124,4 @@ let of_string ~label:path content =
     total_cycles;
   }
 
-let load ~path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  of_string ~label:path content
+let load ~path = of_string ~label:path (Stats.Sealed.read_file path)

@@ -80,18 +80,28 @@ and message =
          the metrics count (None = ok), applied only if the subscriber
          is still connected *)
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off remaining =
-    if remaining > 0 then
-      match Unix.write_substring fd s off remaining with
-      | n -> go (off + n) (remaining - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off remaining
-  in
-  go 0 len
-
 let close_quietly fd =
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
+
+(* Accept every connection queued on the non-blocking listener [fd],
+   handing each to [on_conn]; [true] once the backlog is empty.  [false]
+   when the process is out of descriptors or socket memory: the
+   connection stays queued, so the listener reads as ready again at once,
+   and the caller must stop watching it until a descriptor frees up or
+   the loop spins. *)
+let accept_all fd ~on_conn =
+  let rec go () =
+    match Unix.accept ~cloexec:true fd with
+    | conn, addr ->
+        on_conn conn addr;
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> true
+    | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> go ()
+    | exception
+        Unix.Unix_error ((Unix.EMFILE | Unix.ENFILE | Unix.ENOBUFS | Unix.ENOMEM), _, _) ->
+        false
+  in
+  go ()
 
 let listen_socket address ~backlog =
   let fd =
@@ -257,33 +267,48 @@ let run ?(on_event = fun _ -> ()) cfg address =
     | "GET", _ -> Metrics_http.Http.response ~status:404 "not found\n"
     | _, _ -> Metrics_http.Http.response ~status:405 "method not allowed\n"
   in
+  (* Both listeners belong to shard 0.  One that ran out of descriptors
+     is paused -- no read interest -- until a connection closes on any
+     shard ([closed] moves) or, for descriptors held by anything else, a
+     second has passed.  One log line per episode, not per retry. *)
+  let closed = Atomic.make 0 in
+  let paused = ref [] in
+  let starved = ref false in
+  let accept_on fd ~on_conn =
+    let seen = Atomic.get closed in
+    if accept_all fd ~on_conn then starved := false
+    else begin
+      Evloop.modify shards.(0).ev fd ~read:false ~write:false;
+      paused := (fd, seen, Clock.now () +. 1.0) :: !paused;
+      if not !starved then on_event "accept paused: out of descriptors or socket memory";
+      starved := true
+    end
+  in
+  let resume_accepts () =
+    if !paused <> [] then begin
+      let now = Atomic.get closed in
+      let ready, still =
+        List.partition
+          (fun (_, seen, retry_at) -> seen <> now || Clock.expired ~deadline:(Some retry_at))
+          !paused
+      in
+      List.iter (fun (fd, _, _) -> Evloop.modify shards.(0).ev fd ~read:true ~write:false) ready;
+      paused := still
+    end
+  in
   let drop_http c =
     Hashtbl.remove http_conns c.hid;
     Evloop.remove shards.(0).ev c.hfd;
-    close_quietly c.hfd
+    close_quietly c.hfd;
+    Atomic.incr closed
   in
-  let http_accept_loop mfd =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true mfd with
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) -> ()
-      | fd, _ ->
-          Unix.set_nonblock fd;
-          let id = !next_http_id in
-          incr next_http_id;
-          Hashtbl.replace http_conns id
-            {
-              hid = id;
-              hfd = fd;
-              hbuf = Buffer.create 256;
-              hout = "";
-              hout_off = 0;
-              hdone = false;
-            };
-          Evloop.add shards.(0).ev fd ~read:true ~write:false
-    done
+  let add_http fd _addr =
+    Unix.set_nonblock fd;
+    let id = !next_http_id in
+    incr next_http_id;
+    Hashtbl.replace http_conns id
+      { hid = id; hfd = fd; hbuf = Buffer.create 256; hout = ""; hout_off = 0; hdone = false };
+    Evloop.add shards.(0).ev fd ~read:true ~write:false
   in
   let http_read c =
     let buf = Bytes.create 4096 in
@@ -341,6 +366,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Hashtbl.remove sh.sessions (Session.id sess);
     Evloop.remove sh.ev (Session.fd sess);
     close_quietly (Session.fd sess);
+    Atomic.incr closed;
     locked (fun () ->
         decr active;
         Metrics.set_active metrics !active;
@@ -698,71 +724,56 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Hashtbl.replace sh.sessions id sess;
     Evloop.add sh.ev fd ~read:true ~write:false
   in
-  (* Shard 0 only.  One readiness event may announce many queued
-     connections: drain the whole accept backlog until EAGAIN. *)
-  let accept_loop () =
-    let continue = ref true in
-    while !continue do
-      match Unix.accept ~cloexec:true listen_fd with
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          continue := false
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
-          ()
-      | fd, addr ->
-          let refused =
-            locked (fun () ->
-                if Atomic.get draining || !active >= cfg.max_connections then begin
-                  Metrics.incr_refused metrics;
-                  true
-                end
-                else begin
-                  incr active;
-                  Metrics.incr_accepted metrics;
-                  Metrics.set_active metrics !active;
-                  false
-                end)
-          in
-          if refused then begin
-            let message =
-              if Atomic.get draining then "server is draining"
-              else
-                Printf.sprintf "connection limit reached (max %d)"
-                  cfg.max_connections
-            in
-            let frame =
-              Wire.encode
-                (Protocol.encode_response
-                   (Protocol.Error { code = Protocol.Busy; message }))
-            in
-            (try write_all fd frame with Unix.Unix_error (_, _, _) -> ());
-            close_quietly fd
+  (* Shard 0 only: admit or refuse one accepted RPC connection. *)
+  let add_conn fd addr =
+    let refused =
+      locked (fun () ->
+          if Atomic.get draining || !active >= cfg.max_connections then begin
+            Metrics.incr_refused metrics;
+            true
           end
           else begin
-            (* Non-blocking: a client that stops reading must never stall
-               a shard — flush_session writes only what the socket
-               accepts and the evloop waits for writability. *)
-            Unix.set_nonblock fd;
-            let id = !next_conn_id in
-            incr next_conn_id;
-            (* TCP peers share an admission identity per address, so one
-               host cannot widen its budget by opening connections; local
-               Unix-socket peers are indistinguishable and get a
-               per-connection identity instead. *)
-            let peer =
-              match addr with
-              | Unix.ADDR_INET (ip, _) -> Unix.string_of_inet_addr ip
-              | Unix.ADDR_UNIX _ -> Printf.sprintf "conn:%d" id
-            in
-            let sh = shards.(shard_of_conn id) in
-            locked (fun () ->
-                Hashtbl.replace peer_refs peer
-                  (1 + Option.value ~default:0 (Hashtbl.find_opt peer_refs peer));
-                Metrics.incr_shard_accept metrics ~shard:sh.idx);
-            if sh.idx = 0 then add_session sh id fd peer
-            else post sh (Accepted { id; fd; peer })
-          end
-    done
+            incr active;
+            Metrics.incr_accepted metrics;
+            Metrics.set_active metrics !active;
+            false
+          end)
+    in
+    if refused then begin
+      let message =
+        if Atomic.get draining then "server is draining"
+        else Printf.sprintf "connection limit reached (max %d)" cfg.max_connections
+      in
+      let frame =
+        Wire.encode (Protocol.encode_response (Protocol.Error { code = Protocol.Busy; message }))
+      in
+      (try Wire.write_all fd frame with Unix.Unix_error (_, _, _) -> ());
+      close_quietly fd
+    end
+    else begin
+      (* Non-blocking: a client that stops reading must never stall a
+         shard — flush_session writes only what the socket accepts and
+         the evloop waits for writability. *)
+      Unix.set_nonblock fd;
+      let id = !next_conn_id in
+      incr next_conn_id;
+      (* TCP peers share an admission identity per address, so one host
+         cannot widen its budget by opening connections; local
+         Unix-socket peers are indistinguishable and get a per-connection
+         identity instead. *)
+      let peer =
+        match addr with
+        | Unix.ADDR_INET (ip, _) -> Unix.string_of_inet_addr ip
+        | Unix.ADDR_UNIX _ -> Printf.sprintf "conn:%d" id
+      in
+      let sh = shards.(shard_of_conn id) in
+      locked (fun () ->
+          Hashtbl.replace peer_refs peer
+            (1 + Option.value ~default:0 (Hashtbl.find_opt peer_refs peer));
+          Metrics.incr_shard_accept metrics ~shard:sh.idx);
+      if sh.idx = 0 then add_session sh id fd peer
+      else post sh (Accepted { id; fd; peer })
+    end
   in
   let process_inbox sh =
     Mutex.lock sh.inbox_mutex;
@@ -930,17 +941,20 @@ let run ?(on_event = fun _ -> ()) cfg address =
           Evloop.modify sh.ev (Session.fd s) ~read:true
             ~write:(Session.has_output s))
         (sorted_sessions sh);
-      if sh.idx = 0 then
+      if sh.idx = 0 then begin
+        resume_accepts ();
         List.iter
           (fun c ->
             Evloop.modify sh.ev c.hfd ~read:(not c.hdone)
               ~write:(c.hdone && c.hout_off < String.length c.hout))
-          (sorted_http_conns ());
+          (sorted_http_conns ())
+      end;
       Evloop.wait sh.ev ~timeout_ms:100;
-      if sh.idx = 0 && Evloop.readable sh.ev listen_fd then accept_loop ();
+      if sh.idx = 0 && Evloop.readable sh.ev listen_fd then
+        accept_on listen_fd ~on_conn:add_conn;
       if sh.idx = 0 then begin
         (match metrics_listen with
-        | Some mfd when Evloop.readable sh.ev mfd -> http_accept_loop mfd
+        | Some mfd when Evloop.readable sh.ev mfd -> accept_on mfd ~on_conn:add_http
         | Some _ | None -> ());
         List.iter
           (fun c -> if Evloop.readable sh.ev c.hfd then http_read c)

@@ -12,6 +12,9 @@
       bytes 14..   payload
     v}
 
+    The checksum is {!Stats.Sealed.adler32}, the one the trace archive
+    and the store's entry files are sealed with.
+
     Every integer is written big-endian with a fixed width and floats are
     written as their IEEE-754 bit patterns, so encoding is a pure
     function of the value — the same message encodes to the same bytes
@@ -36,9 +39,6 @@ type error =
 
 val error_to_string : error -> string
 
-val adler32 : string -> int
-(** Adler-32 of the whole string (RFC 1950), in [0, 2^32). *)
-
 val encode : string -> string
 (** [encode payload] is the full frame: header followed by [payload]. *)
 
@@ -57,7 +57,13 @@ val check_payload : string -> checksum:int -> bool
 (** {1 Blocking frame transport}
 
     Used by the client library and the tests; the server reads frames
-    incrementally through {!Session}. *)
+    incrementally through {!Session} and writes blocking only the one
+    refusal frame it sends a connection it turns away. *)
+
+val write_all : Unix.file_descr -> string -> unit
+(** Write the whole string, retrying short writes and [EINTR]; any other
+    [Unix_error] propagates.  On a non-blocking descriptor [EAGAIN]
+    propagates too, with part of the string possibly written. *)
 
 val write_frame : Unix.file_descr -> string -> unit
 (** Frame the payload and write it fully ([Unix] write loop). *)

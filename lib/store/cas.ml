@@ -17,8 +17,8 @@
      <payload bytes>\n
      fuzzystore-end <body_len> <adler32>\n
 
-   The trailer declares the length and Adler-32 of everything before it
-   (Trace_io v2 discipline), and the embedded key must byte-match the
+   The trailer is the Stats.Sealed seal, the same one Trace_io archives
+   carry: it declares the length and Adler-32 of everything before it, and the embedded key must byte-match the
    requested key, so a truncated, bit-flipped or hash-colliding file is
    detected before any payload byte is interpreted.  Invalid entries are
    never errors: they quarantine and read as misses, because the caller
@@ -47,28 +47,12 @@ type stats = {
   quarantined : int;
 }
 
-let adler32 s =
-  let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
-  (!b lsl 16) lor !a
-
 let digest_of_key key =
-  Printf.sprintf "%s-%08x-%x" (Digest.to_hex (Digest.string key)) (adler32 key)
+  Printf.sprintf "%s-%08x-%x" (Digest.to_hex (Digest.string key)) (Stats.Sealed.adler32 key)
     (String.length key)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755
-    with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
 let open_dir ~dir =
-  mkdir_p dir;
+  Stats.Sealed.mkdir_p dir;
   { dir; mutex = Mutex.create (); hits = 0; misses = 0; writes = 0; corrupt = 0 }
 
 let shard_of_digest digest = String.sub digest 0 2
@@ -88,6 +72,8 @@ let bump t f =
 
 (* ------------------------------ framing ----------------------------- *)
 
+let magic = "fuzzystore"
+
 let frame ~key ~payload =
   let b = Buffer.create (String.length payload + String.length key + 128) in
   Printf.bprintf b "fuzzystore %d %d %d\n" Version.entry_format (String.length key)
@@ -96,37 +82,13 @@ let frame ~key ~payload =
   Buffer.add_char b '\n';
   Buffer.add_string b payload;
   Buffer.add_char b '\n';
-  let body = Buffer.contents b in
-  Printf.sprintf "%sfuzzystore-end %d %d\n" body (String.length body) (adler32 body)
+  Stats.Sealed.seal ~magic (Buffer.contents b)
 
 (* Validate a whole entry file; [Error reason] for anything short of a
    byte-exact, checksummed, current-format entry. *)
 let unframe content =
-  let len = String.length content in
   let ( let* ) r f = Result.bind r f in
-  let* () = if len = 0 then Error "empty file" else Ok () in
-  let* () =
-    if content.[len - 1] <> '\n' then Error "truncated (no final newline)" else Ok ()
-  in
-  let trailer_start =
-    match String.rindex_from_opt content (len - 2) '\n' with Some i -> i + 1 | None -> 0
-  in
-  let trailer = String.sub content trailer_start (len - 1 - trailer_start) in
-  let body = String.sub content 0 trailer_start in
-  let* declared_len, declared_sum =
-    try Scanf.sscanf trailer "fuzzystore-end %d %d%!" (fun a b -> Ok (a, b))
-    with Scanf.Scan_failure _ | Failure _ | End_of_file -> Error "missing trailer"
-  in
-  let* () =
-    if String.length body <> declared_len then
-      Error
-        (Printf.sprintf "truncated: %d body bytes, trailer declares %d" (String.length body)
-           declared_len)
-    else Ok ()
-  in
-  let* () =
-    if adler32 body <> declared_sum then Error "checksum mismatch" else Ok ()
-  in
+  let* body = Stats.Sealed.unseal ~magic content in
   let* format, key_len, payload_len, header_len =
     try
       Scanf.sscanf body "fuzzystore %d %d %d\n%n" (fun f k p n -> Ok (f, k, p, n))
@@ -146,19 +108,13 @@ let unframe content =
   let payload = String.sub body (header_len + key_len + 1) payload_len in
   Ok (key, payload)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Move a bad entry out of the live tree.  Never overwrite earlier
    quarantined bytes (they may be evidence); suffix until free.  If even
    that fails, delete — a corrupt entry must not keep costing a read and
    a re-validation on every probe. *)
 let quarantine t path =
   (try
-     mkdir_p (quarantine_dir t);
+     Stats.Sealed.mkdir_p (quarantine_dir t);
      let base = Filename.concat (quarantine_dir t) (Filename.basename path) in
      let rec fresh n =
        let candidate = if n = 0 then base else Printf.sprintf "%s.%d" base n in
@@ -178,7 +134,7 @@ let find t ~key =
     bump t (fun t -> t.misses <- t.misses + 1);
     None
   in
-  match read_file path with
+  match Stats.Sealed.read_file path with
   | exception Sys_error _ -> miss ()
   | content -> (
       match unframe content with
@@ -210,17 +166,8 @@ let put t ~key payload =
   let digest = digest_of_key key in
   let path = path_of_digest t digest in
   if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    let tmp = Filename.temp_file ~temp_dir:t.dir ".fuzzystore" ".tmp" in
-    (try
-       let oc = open_out_bin tmp in
-       Fun.protect
-         ~finally:(fun () -> close_out oc)
-         (fun () -> output_string oc (frame ~key ~payload));
-       Sys.rename tmp path
-     with (Sys_error _ | Unix.Unix_error (_, _, _)) as e ->
-       (try Sys.remove tmp with Sys_error _ -> ());
-       raise e);
+    Stats.Sealed.mkdir_p (Filename.dirname path);
+    Stats.Sealed.write_file path (frame ~key ~payload);
     bump t (fun t -> t.writes <- t.writes + 1)
   end
 
@@ -252,7 +199,7 @@ let fold t ~init ~f =
   List.fold_left
     (fun acc digest ->
       let path = path_of_digest t digest in
-      match read_file path with
+      match Stats.Sealed.read_file path with
       | exception Sys_error _ -> acc
       | content -> (
           match unframe content with
@@ -267,7 +214,7 @@ let verify t =
     List.fold_left
       (fun (ok, bad) digest ->
         let path = path_of_digest t digest in
-        match read_file path with
+        match Stats.Sealed.read_file path with
         | exception Sys_error _ -> (ok, digest :: bad)
         | content -> (
             match unframe content with

@@ -7,7 +7,7 @@ module Ops = Dbengine.Ops
 module Query = Dbengine.Query
 module Tpch = Dbengine.Tpch
 module Addr_space = Dbengine.Addr_space
-module Cache_lru = Dbengine.Cache_lru
+module Lru = Stats.Lru
 module Bufcache = Dbengine.Bufcache
 module Rng = Stats.Rng
 
@@ -114,32 +114,66 @@ let prop_btree_matches_hashtbl =
         pairs;
       Hashtbl.fold (fun k v acc -> acc && Btree.find t k = Some v) h true)
 
-(* ------------------------------ Cache_lru -------------------------- *)
+(* -------------------- buffer-cache LRU (Stats.Lru) ------------------ *)
 
 let test_cache_lru_exact_capacity () =
-  let c = Cache_lru.create ~capacity:3 in
-  List.iter (fun k -> ignore (Cache_lru.access c k)) [ 1; 2; 3 ];
-  Alcotest.(check bool) "1 hits" true (Cache_lru.access c 1);
-  ignore (Cache_lru.access c 4);
+  let c = Lru.create ~capacity:3 in
+  List.iter (fun k -> ignore (Lru.access c k)) [ 1; 2; 3 ];
+  Alcotest.(check bool) "1 hits" true (Lru.access c 1);
+  ignore (Lru.access c 4);
   (* evicts 2 (LRU) *)
-  Alcotest.(check bool) "2 evicted" false (Cache_lru.mem c 2);
-  Alcotest.(check bool) "3 resident" true (Cache_lru.mem c 3);
-  Alcotest.(check int) "size capped" 3 (Cache_lru.size c)
+  Alcotest.(check bool) "2 evicted" false (Lru.mem c 2);
+  Alcotest.(check bool) "3 resident" true (Lru.mem c 3);
+  Alcotest.(check int) "size capped" 3 (Lru.size c)
 
 let test_cache_lru_stats () =
-  let c = Cache_lru.create ~capacity:2 in
-  ignore (Cache_lru.access c 1);
-  ignore (Cache_lru.access c 1);
-  Alcotest.(check int) "hits" 1 (Cache_lru.hits c);
-  Alcotest.(check int) "misses" 1 (Cache_lru.misses c)
+  let c = Lru.create ~capacity:2 in
+  ignore (Lru.access c 1);
+  ignore (Lru.access c 1);
+  Alcotest.(check int) "hits" 1 (Lru.hits c);
+  Alcotest.(check int) "misses" 1 (Lru.misses c)
 
 let prop_cache_lru_never_exceeds =
   QCheck2.Test.make ~name:"lru size never exceeds capacity" ~count:50
     QCheck2.Gen.(list_size (int_range 1 200) (int_range 0 50))
     (fun keys ->
-      let c = Cache_lru.create ~capacity:7 in
-      List.iter (fun k -> ignore (Cache_lru.access c k)) keys;
-      Cache_lru.size c <= 7)
+      let c = Lru.create ~capacity:7 in
+      List.iter (fun k -> ignore (Lru.access c k)) keys;
+      Lru.size c <= 7)
+
+let test_cache_lru_rejects_negative_key () =
+  let c = Lru.create ~capacity:4 in
+  Alcotest.check_raises "access" (Invalid_argument "Lru.access: negative key") (fun () ->
+      ignore (Lru.access c (-1)));
+  Alcotest.(check bool) "not resident" false (Lru.mem c (-1));
+  Alcotest.(check int) "nothing counted" 0 (Lru.hits c + Lru.misses c);
+  Alcotest.check_raises "bufcache" (Invalid_argument "Lru.access: negative key") (fun () ->
+      ignore (Bufcache.touch (Bufcache.create ~pages:4 ~page_bytes:8192) (-8192)))
+
+(* The buffer cache's table against the TLB's linear-scan oracle with
+   one-byte pages, at buffer-cache sizes: 4096 pages, and 6000, which is
+   not a power of two.  Keys come from 1.5x capacity pages, some far up,
+   so evictions dominate; every returned bool and the final counts must
+   agree. *)
+let prop_cache_lru_equals_reference capacity =
+  QCheck2.Test.make ~count:8
+    ~name:(Printf.sprintf "Lru == Tlb.Reference (%d pages)" capacity)
+    (* No shrinking: a failing trace is thousands of accesses, each
+       replayed through an O(capacity) oracle. *)
+    QCheck2.Gen.(
+      no_shrink
+        (list_size (int_range 1 (3 * capacity))
+           (pair bool (int_range 0 (capacity + (capacity / 2))))))
+    (fun trace ->
+      let c = Lru.create ~capacity in
+      let r = March.Tlb.Reference.create ~entries:capacity ~page_bytes:1 in
+      List.for_all
+        (fun (high, p) ->
+          let key = (if high then 1 lsl 40 else 0) + p in
+          Lru.access c key = March.Tlb.Reference.access r key)
+        trace
+      && Lru.misses c = March.Tlb.Reference.misses r
+      && Lru.hits c + Lru.misses c = List.length trace)
 
 let test_bufcache () =
   let b = Bufcache.create ~pages:4 ~page_bytes:8192 in
@@ -387,7 +421,13 @@ let () =
         Alcotest.test_case "exact capacity" `Quick test_cache_lru_exact_capacity
         :: Alcotest.test_case "stats" `Quick test_cache_lru_stats
         :: Alcotest.test_case "bufcache pages" `Quick test_bufcache
-        :: qcheck [ prop_cache_lru_never_exceeds ] );
+        :: Alcotest.test_case "rejects negative key" `Quick test_cache_lru_rejects_negative_key
+        :: qcheck
+             [
+               prop_cache_lru_never_exceeds;
+               prop_cache_lru_equals_reference 4096;
+               prop_cache_lru_equals_reference 6000;
+             ] );
       ("heap", [ Alcotest.test_case "addresses" `Quick test_heap_addresses ]);
       ("sink", [ Alcotest.test_case "accumulate and drain" `Quick test_sink_accumulate_drain ]);
       ( "ops",

@@ -252,6 +252,47 @@ let test_trace_rejects_garbage () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "expected failure")
 
+(* The archive format, pinned byte for byte on a small hand-built run:
+   hex floats, region histograms, an empty histogram and the trailer. *)
+let test_trace_bytes_pinned () =
+  let sample eip tid cycles (work, fe, exe, other) os_instrs region_instrs =
+    {
+      Sampling.Driver.eip;
+      tid;
+      instrs = 1000;
+      cycles;
+      breakdown = { March.Breakdown.work; fe; exe; other };
+      os_instrs;
+      region_instrs;
+    }
+  in
+  let run =
+    {
+      Sampling.Driver.workload = "pin";
+      machine = "itanium2";
+      period = 1000;
+      context_switches = 3;
+      io_blocks = 2;
+      os_instr_total = 40;
+      total_instrs = 2000;
+      total_cycles = 3100.5;
+      samples =
+        [|
+          sample 0x40100000 1 1500.25 (0.5, 0.25, 0.125, 0.1) 40 [| (1, 960); (7, 40) |];
+          sample 0x40100040 2 1600.25 (0.75, 0.0, 0.2, 0.05) 0 [||];
+        |];
+    }
+  in
+  let archive = Sampling.Trace_io.to_string run in
+  Alcotest.(check string) "archive bytes"
+    "fuzzytrace 2 pin itanium2 1000 3 2 40 2000 0x1.839p+11 2\n\
+     1074790400 1 1000 0x1.771p+10 0x1p-1 0x1p-2 0x1p-3 0x1.999999999999ap-4 40 2 1 960 7 40\n\
+     1074790464 2 1000 0x1.901p+10 0x1.8p-1 0x0p+0 0x1.999999999999ap-3 0x1.999999999999ap-5 0 0\n\
+     fuzzytrace-end 237 3493345060\n"
+    archive;
+  let back = Sampling.Trace_io.of_string ~label:"pin" archive in
+  Alcotest.(check string) "re-encodes identically" archive (Sampling.Trace_io.to_string back)
+
 (* One valid archive, shared by every corruption trial. *)
 let trace_archive =
   lazy
@@ -444,6 +485,7 @@ let () =
       ( "trace_io",
         [
           Alcotest.test_case "roundtrip exact" `Quick test_trace_roundtrip;
+          Alcotest.test_case "archive bytes pinned" `Quick test_trace_bytes_pinned;
           Alcotest.test_case "rejects garbage" `Quick test_trace_rejects_garbage;
           Alcotest.test_case "loads version-1 archives" `Quick test_trace_loads_v1;
           Alcotest.test_case "trailer truncation detected at every byte" `Quick

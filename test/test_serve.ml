@@ -20,9 +20,14 @@ let acfg = { Fuzzy.Analysis.quick with Fuzzy.Analysis.jobs = 1 }
 (* ------------------------------- wire ------------------------------- *)
 
 let test_adler32 () =
-  (* RFC 1950 reference value. *)
-  Alcotest.(check int) "adler32(Wikipedia)" 0x11E60398 (W.adler32 "Wikipedia");
-  Alcotest.(check int) "adler32 of empty" 1 (W.adler32 "")
+  (* RFC 1950 reference value, and the frame header carries it. *)
+  Alcotest.(check int) "adler32(Wikipedia)" 0x11E60398 (Stats.Sealed.adler32 "Wikipedia");
+  Alcotest.(check int) "adler32 of empty" 1 (Stats.Sealed.adler32 "");
+  match W.decode_header (W.encode "Wikipedia") with
+  | Ok (len, checksum) ->
+      Alcotest.(check int) "header length" 9 len;
+      Alcotest.(check int) "header checksum" 0x11E60398 checksum
+  | Stdlib.Error e -> Alcotest.fail (W.error_to_string e)
 
 let check_wire_error name expected = function
   | Stdlib.Error e ->
@@ -717,7 +722,7 @@ let test_tcp_health () =
 (* Variant of [start_server] that keeps the server's stderr in a file:
    with --metrics-port 0 the OS assigns the HTTP port and the server
    reports it in a "metrics listening" stderr line. *)
-let start_server_http ?(extra = []) () =
+let start_server_http ?(extra = []) ?fd_limit () =
   let sock = Filename.temp_file "repro_serve_test" ".sock" in
   Sys.remove sock;
   let errfile = Filename.temp_file "repro_serve_test" ".err" in
@@ -728,14 +733,21 @@ let start_server_http ?(extra = []) () =
     ]
     @ extra
   in
+  (* A descriptor limit is set by a shell that then execs the server, so
+     the pid is still the server's. *)
+  let prog, argv =
+    match fd_limit with
+    | None -> (repro_exe, argv)
+    | Some n ->
+        ( "/bin/sh",
+          "/bin/sh" :: "-c" :: Printf.sprintf "ulimit -n %d && exec \"$0\" \"$@\"" n :: argv )
+  in
   flush stdout;
   flush stderr;
   let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
   let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let err_out = Unix.openfile errfile [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
-  let pid =
-    Unix.create_process repro_exe (Array.of_list argv) null_in null_out err_out
-  in
+  let pid = Unix.create_process prog (Array.of_list argv) null_in null_out err_out in
   Unix.close null_in;
   Unix.close null_out;
   Unix.close err_out;
@@ -997,6 +1009,66 @@ let test_health_drain () =
           | _ -> Alcotest.fail "a draining client's analyze failed")
         children)
 
+(* Out of descriptors: under a 40-descriptor limit, 49 idle scrape
+   connections exhaust the server's table and accept() fails with EMFILE.
+   The server must pause that listener instead of dying, keep serving the
+   connections it holds, and accept again once descriptors free up. *)
+let test_fd_exhaustion () =
+  let sock, pid, errfile = start_server_http ~fd_limit:40 () in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server (sock, pid);
+      try Sys.remove errfile with Sys_error _ -> ())
+    (fun () ->
+      let port = metrics_port_of errfile in
+      let address = Serve.Server.Unix_socket sock in
+      let health conn =
+        match call_ok conn P.Health with
+        | P.Health_ok _ -> ()
+        | resp -> Alcotest.fail ("health: " ^ P.render_response resp)
+      in
+      Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+          health conn;
+          (* Non-blocking connects: the kernel completes them into the
+             listener's backlog whether or not the server accepts. *)
+          let idle =
+            List.init 49 (fun _ ->
+                let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+                Unix.set_nonblock fd;
+                (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+                 with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ());
+                fd)
+          in
+          Fun.protect
+            ~finally:(fun () ->
+              List.iter (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ()) idle)
+            (fun () ->
+              let paused () =
+                let log = try read_file errfile with Sys_error _ -> "" in
+                let tag = "accept paused" in
+                let rec find i =
+                  i + String.length tag <= String.length log
+                  && (String.sub log i (String.length tag) = tag || find (i + 1))
+                in
+                find 0
+              in
+              let rec await tries =
+                if paused () then ()
+                else if tries = 0 || fst (Unix.waitpid [ Unix.WNOHANG ] pid) <> 0 then
+                  Alcotest.failf "server never paused accepting; stderr:\n%s"
+                    (try read_file errfile with Sys_error _ -> "")
+                else begin
+                  Unix.sleepf 0.05;
+                  await (tries - 1)
+                end
+              in
+              await 200;
+              health conn));
+      (* The idle connections are closed: a new connection gets in. *)
+      Serve.Client.with_connection ~retry_for:200 address (fun conn ->
+          health conn;
+          ignore (call_ok conn P.Shutdown)))
+
 (* ------------------------------ evloop ------------------------------ *)
 
 let available_backends () =
@@ -1137,5 +1209,6 @@ let () =
           Alcotest.test_case "metrics exposition golden across shards" `Slow
             test_metrics_exposition_golden;
           Alcotest.test_case "health 503 during drain" `Quick test_health_drain;
+          Alcotest.test_case "survives descriptor exhaustion" `Quick test_fd_exhaustion;
         ] );
     ]

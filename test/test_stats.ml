@@ -458,6 +458,60 @@ let test_growvec_bool () =
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
+(* ------------------------------ Sealed ----------------------------- *)
+
+let test_sealed_roundtrip () =
+  let sealed = Stats.Sealed.seal ~magic:"fuzzystore" "two\nlines\n" in
+  Alcotest.(check string) "trailer bytes"
+    (Printf.sprintf "two\nlines\nfuzzystore-end 10 %d\n" (Stats.Sealed.adler32 "two\nlines\n"))
+    sealed;
+  Alcotest.(check (result string string)) "unseal" (Ok "two\nlines\n")
+    (Stats.Sealed.unseal ~magic:"fuzzystore" sealed);
+  Alcotest.(check (result string string)) "empty body" (Ok "")
+    (Stats.Sealed.unseal ~magic:"fuzzytrace" (Stats.Sealed.seal ~magic:"fuzzytrace" ""))
+
+(* Under either magic, every single-byte flip (each position, each of
+   the 255 changes) and every proper prefix of a sealed (line-oriented)
+   body is rejected, and a seal under one magic is not accepted as the
+   other. *)
+let prop_sealed_rejects_corruption =
+  QCheck2.Test.make ~name:"unseal rejects flips, truncations and the other magic" ~count:30
+    QCheck2.Gen.(pair bool (string_size ~gen:printable (int_range 0 40)))
+    (fun (trace, body) ->
+      let magic, other =
+        if trace then ("fuzzytrace", "fuzzystore") else ("fuzzystore", "fuzzytrace")
+      in
+      let body = if body = "" then body else body ^ "\n" in
+      let sealed = Stats.Sealed.seal ~magic body in
+      let rejected s = Result.is_error (Stats.Sealed.unseal ~magic s) in
+      let flipped pos flip =
+        let b = Bytes.of_string sealed in
+        Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor flip));
+        Bytes.to_string b
+      in
+      Stats.Sealed.unseal ~magic sealed = Ok body
+      && Result.is_error (Stats.Sealed.unseal ~magic:other sealed)
+      && List.for_all
+           (fun pos ->
+             rejected (String.sub sealed 0 pos)
+             && List.for_all (fun flip -> rejected (flipped pos flip)) (List.init 255 succ))
+           (List.init (String.length sealed) Fun.id))
+
+let test_sealed_files () =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "sealed-test-%d" (Unix.getpid ()))
+  in
+  let path = Filename.concat (Filename.concat dir "a/b") "file" in
+  Stats.Sealed.mkdir_p (Filename.dirname path);
+  Stats.Sealed.mkdir_p (Filename.dirname path);
+  Stats.Sealed.write_file path "first";
+  Stats.Sealed.write_file path "second";
+  Alcotest.(check string) "rewritten in place" "second" (Stats.Sealed.read_file path);
+  Alcotest.(check (array string)) "no temp file left" [| "file" |]
+    (Sys.readdir (Filename.dirname path));
+  Sys.remove path
+
 let () =
   Alcotest.run "stats"
     [
@@ -535,4 +589,8 @@ let () =
           Alcotest.test_case "int vector" `Quick test_growvec_int;
           Alcotest.test_case "bool vector" `Quick test_growvec_bool;
         ] );
+      ( "sealed",
+        Alcotest.test_case "seal and unseal" `Quick test_sealed_roundtrip
+        :: Alcotest.test_case "write, read, mkdir_p" `Quick test_sealed_files
+        :: qcheck [ prop_sealed_rejects_corruption ] );
     ]

@@ -156,6 +156,19 @@ let test_cas_fold_order () =
   Alcotest.(check bool) "deterministic digest order" true
     (digests = List.sort compare digests)
 
+(* The on-disk format, pinned byte for byte: a store written by an
+   earlier build must stay readable, and entries must keep their names. *)
+let test_cas_entry_bytes_pinned () =
+  let cas = Store.Cas.open_dir ~dir:(fresh_dir ()) in
+  let key = "fuzzykey 1\npin key" in
+  Store.Cas.put cas ~key "pin payload: 0123456789\nsecond line";
+  let digest = Store.Cas.digest_of_key key in
+  Alcotest.(check string) "digest file name" "fa059a36786c7df93fbb25baca2b4cbd-41be069d-12" digest;
+  Alcotest.(check string) "entry file bytes"
+    "fuzzystore 1 18 35\nfuzzykey 1\npin key\npin payload: 0123456789\nsecond line\n\
+     fuzzystore-end 74 2520586136\n"
+    (Stats.Sealed.read_file (Store.Cas.path_of_digest cas digest))
+
 (* Any single-byte flip or truncation of an entry file must read as a
    quarantined miss — and a fresh put of the same key must work again. *)
 let qcheck_cas_corruption =
@@ -336,6 +349,7 @@ let () =
         [
           Alcotest.test_case "put/find/immutability" `Quick test_cas_put_find;
           Alcotest.test_case "fold order deterministic" `Quick test_cas_fold_order;
+          Alcotest.test_case "entry bytes pinned" `Quick test_cas_entry_bytes_pinned;
           QCheck_alcotest.to_alcotest qcheck_cas_corruption;
           Alcotest.test_case "verify and deterministic gc" `Quick test_cas_verify_and_gc;
         ] );
