@@ -39,7 +39,7 @@ check: build lint lint-deep lint-smoke serve-smoke load-smoke cache-smoke soak-s
 	dune exec bin/repro.exe -- cache warm --quick --jobs 2 --dir _build/check-store gzip mcf
 	dune exec bin/repro.exe -- cache verify --dir _build/check-store
 
-# Static determinism & hygiene gate (rules D001-D008, DESIGN.md §10).
+# Static determinism & hygiene gate (rules D001-D009, DESIGN.md §10).
 lint: build
 	dune exec bin/repro.exe -- lint
 

@@ -255,7 +255,7 @@ let lint_cmd =
       value
       & opt (some string) None
       & info [ "rules" ] ~docv:"IDS"
-          ~doc:"Comma-separated rule ids to run (default: all of D001-D008).")
+          ~doc:"Comma-separated rule ids to run (default: all of D001-D009).")
   in
   let waivers =
     Arg.(
@@ -310,7 +310,7 @@ let lint_cmd =
   Cmd.v
     (Cmd.info "lint"
        ~doc:
-         "Statically check the determinism & hygiene rules (D001-D008) over the source \
+         "Statically check the determinism & hygiene rules (D001-D009) over the source \
           tree: randomness outside Stats.Rng, wall-clock outside bench/, unsorted \
           Hashtbl traversals, stray Domain.spawn, physical equality, stdout printing in \
           lib/, missing .mli files and wildcard exception handlers.  With $(b,--deep), \

@@ -43,12 +43,12 @@ let bulk_load t pairs =
       if fst pairs.(i) <= fst pairs.(i - 1) then
         invalid_arg "Btree.bulk_load: keys must be strictly increasing"
     done;
-    let per_leaf = max 2 (t.fanout * 3 / 4) in
+    let per_leaf = Int.max 2 (t.fanout * 3 / 4) in
     (* Build the leaf level. *)
     let leaves = ref [] in
     let i = ref 0 in
     while !i < n do
-      let len = min per_leaf (n - !i) in
+      let len = Int.min per_leaf (n - !i) in
       let keys = Array.init len (fun j -> fst pairs.(!i + j)) in
       let values = Array.init len (fun j -> snd pairs.(!i + j)) in
       leaves := new_node t keys (Leaf { values }) :: !leaves;
@@ -67,7 +67,7 @@ let bulk_load t pairs =
     while Array.length !level > 1 do
       let children = !level in
       let m = Array.length children in
-      let per_node = max 2 (t.fanout * 3 / 4) in
+      let per_node = Int.max 2 (t.fanout * 3 / 4) in
       let parents = ref [] in
       let j = ref 0 in
       while !j < m do
@@ -91,40 +91,47 @@ let bulk_load t pairs =
   end
 
 (* Index of the child to descend into: first separator > key determines
-   the branch. *)
-let child_index keys key =
-  let n = Array.length keys in
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if key < keys.(mid) then go lo mid else go (mid + 1) hi
-  in
-  go 0 n
+   the branch.  Both searches are int-typed loops, so a comparison is a
+   machine compare (not the polymorphic [compare]) and no closure is
+   allocated per call. *)
+let child_index (keys : int array) (key : int) =
+  let lo = ref 0 and hi = ref (Array.length keys) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if key < Array.unsafe_get keys mid then hi := mid else lo := mid + 1
+  done;
+  !lo
 
-let leaf_find keys key =
-  let n = Array.length keys in
-  let rec go lo hi =
-    if lo > hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      if keys.(mid) = key then Some mid
-      else if keys.(mid) < key then go (mid + 1) hi
-      else go lo (mid - 1)
-  in
-  go 0 (n - 1)
+(* Slot of [key] in a leaf's sorted keys, or -1. *)
+let leaf_find (keys : int array) (key : int) =
+  let lo = ref 0 and hi = ref (Array.length keys - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    let k = Array.unsafe_get keys mid in
+    if k = key then found := mid else if k < key then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
+let leaf_values node = match node.kind with Leaf { values } -> values | Internal _ -> [||]
+
+(* Root->leaf walk towards [key], passing each node's address to [visit];
+   returns the leaf. *)
+let rec descend_leaf t key visit node =
+  visit (addr_of t node);
+  match node.kind with
+  | Leaf _ -> node
+  | Internal { children } -> descend_leaf t key visit children.(child_index node.keys key)
+
+let descend t key ~visit =
+  let leaf = descend_leaf t key visit t.root in
+  let i = leaf_find leaf.keys key in
+  if i < 0 then -1 else (leaf_values leaf).(i)
 
 let find_trace t key =
-  let rec go node acc =
-    let acc = addr_of t node :: acc in
-    match node.kind with
-    | Leaf { values } -> (
-        match leaf_find node.keys key with
-        | Some i -> (List.rev acc, Some values.(i))
-        | None -> (List.rev acc, None))
-    | Internal { children } -> go children.(child_index node.keys key) acc
-  in
-  go t.root []
+  let path = ref [] in
+  let leaf = descend_leaf t key (fun a -> path := a :: !path) t.root in
+  let i = leaf_find leaf.keys key in
+  (List.rev !path, if i < 0 then None else Some (leaf_values leaf).(i))
 
 let find t key = snd (find_trace t key)
 
@@ -143,26 +150,27 @@ let insert t ~key ~value =
   let rec go node =
     match node.kind with
     | Leaf lf -> (
-        match leaf_find node.keys key with
-        | Some i ->
-            lf.values.(i) <- value;
-            Ok
-        | None ->
-            let pos = child_index node.keys key in
-            node.keys <- array_insert node.keys pos key;
-            lf.values <- array_insert lf.values pos value;
-            t.n_keys <- t.n_keys + 1;
-            if Array.length node.keys <= t.fanout then Ok
-            else begin
-              let n = Array.length node.keys in
-              let mid = n / 2 in
-              let rkeys = Array.sub node.keys mid (n - mid) in
-              let rvals = Array.sub lf.values mid (n - mid) in
-              node.keys <- Array.sub node.keys 0 mid;
-              lf.values <- Array.sub lf.values 0 mid;
-              let right = new_node t rkeys (Leaf { values = rvals }) in
-              Split (rkeys.(0), right)
-            end)
+        let i = leaf_find node.keys key in
+        if i >= 0 then begin
+          lf.values.(i) <- value;
+          Ok
+        end
+        else
+          let pos = child_index node.keys key in
+          node.keys <- array_insert node.keys pos key;
+          lf.values <- array_insert lf.values pos value;
+          t.n_keys <- t.n_keys + 1;
+          if Array.length node.keys <= t.fanout then Ok
+          else begin
+            let n = Array.length node.keys in
+            let mid = n / 2 in
+            let rkeys = Array.sub node.keys mid (n - mid) in
+            let rvals = Array.sub lf.values mid (n - mid) in
+            node.keys <- Array.sub node.keys 0 mid;
+            lf.values <- Array.sub lf.values 0 mid;
+            let right = new_node t rkeys (Leaf { values = rvals }) in
+            Split (rkeys.(0), right)
+          end)
     | Internal inode -> (
         let ci = child_index node.keys key in
         match go inode.children.(ci) with

@@ -20,8 +20,15 @@ val insert : t -> key:int -> value:int -> unit
 
 val find : t -> int -> int option
 
+val descend : t -> int -> visit:(int -> unit) -> int
+(** [descend t key ~visit] walks root->leaf towards [key], calling [visit]
+    on each visited node's address in order, and returns the value stored
+    under [key], or [-1] if it is absent.  Allocates nothing; callers
+    whose values are non-negative use it on the simulation hot path. *)
+
 val find_trace : t -> int -> int list * int option
-(** [(addresses of nodes visited root->leaf, value if found)]. *)
+(** [(addresses of nodes visited root->leaf, value if found)]: the
+    addresses {!descend} visits, as a list. *)
 
 val range_trace : t -> lo:int -> hi:int -> (int -> int -> unit) -> int list
 (** Visit all (key, value) with lo <= key <= hi, calling the function on

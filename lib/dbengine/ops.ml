@@ -39,7 +39,7 @@ let seq_scan ctx ~region ~heap ?(instr_per_row = 60) ?(selectivity = 0.5)
   let step sink =
     if !cursor >= heap.Heap.rows then Done
     else begin
-      let stop = min heap.Heap.rows (!cursor + rows_per_step) in
+      let stop = Int.min heap.Heap.rows (!cursor + rows_per_step) in
       let blocked = ref false in
       (try
          while !cursor < stop do
@@ -50,7 +50,7 @@ let seq_scan ctx ~region ~heap ?(instr_per_row = 60) ?(selectivity = 0.5)
            let prev_line = if row = 0 then -1 else (Heap.addr_of_row heap (row - 1)) / line_bytes in
            let first_line = addr / line_bytes in
            let last_line = (addr + heap.Heap.row_bytes - 1) / line_bytes in
-           for l = max first_line (prev_line + 1) to last_line do
+           for l = Int.max first_line (prev_line + 1) to last_line do
              Sink.data_ref sink (l * line_bytes)
            done;
            Sink.branch sink ~pc:pc_loop ~taken:(row + 1 < heap.Heap.rows);
@@ -78,33 +78,33 @@ let index_scan ctx ~region ~btree ~heap ~key_gen ~probes ?(instr_per_level = 70)
   let step sink =
     if !done_probes >= probes then Done
     else begin
-      let stop = min probes (!done_probes + probes_per_step) in
+      let stop = Int.min probes (!done_probes + probes_per_step) in
       let blocked = ref false in
+      let key = ref 0 and depth = ref 0 in
+      let visit node_addr =
+        incr depth;
+        Sink.data_ref sink node_addr;
+        (* Binary-search comparisons inside a node: directions follow
+           the key bits — data-dependent, hard to predict. *)
+        Sink.branch sink ~pc:pc_cmp ~taken:(!key land 1 = 0);
+        Sink.branch sink ~pc:(pc_cmp + 8) ~taken:(!key land 2 = 0)
+      in
       (try
          while !done_probes < stop do
-           let key = key_gen ctx.rng in
-           let path, value = Btree.find_trace btree key in
-           let depth = List.length path in
-           Sink.instrs sink ~region ((depth * instr_per_level) + 40);
-           List.iter
-             (fun node_addr ->
-               Sink.data_ref sink node_addr;
-               (* Binary-search comparisons inside a node: directions follow
-                  the key bits — data-dependent, hard to predict. *)
-               Sink.branch sink ~pc:pc_cmp ~taken:(key land 1 = 0);
-               Sink.branch sink ~pc:(pc_cmp + 8) ~taken:(key land 2 = 0))
-             path;
-           (match value with
-           | Some row when row >= 0 && row < heap.Heap.rows
-                           && Rng.bernoulli ctx.rng heap_prob ->
-               let addr = Heap.addr_of_row heap row in
-               Sink.data_ref sink addr;
-               if page_io ctx sink addr then begin
-                 incr done_probes;
-                 blocked := true;
-                 raise Exit
-               end
-           | Some _ | None -> ());
+           key := key_gen ctx.rng;
+           depth := 0;
+           (* -1 (absent) fails the row-range test below. *)
+           let row = Btree.descend btree !key ~visit in
+           Sink.instrs sink ~region ((!depth * instr_per_level) + 40);
+           if row >= 0 && row < heap.Heap.rows && Rng.bernoulli ctx.rng heap_prob then begin
+             let addr = Heap.addr_of_row heap row in
+             Sink.data_ref sink addr;
+             if page_io ctx sink addr then begin
+               incr done_probes;
+               blocked := true;
+               raise Exit
+             end
+           end;
            incr done_probes
          done
        with Exit -> ());
@@ -118,9 +118,9 @@ let sort ctx ~region ~space ~bytes ?(run_bytes = 1 lsl 20) ?(fanin = 8)
     ?(instr_per_line = 90) ?(lines_per_step = 64) () =
   if bytes <= 0 then invalid_arg "Ops.sort: bytes must be positive";
   let src = Addr_space.alloc space ~bytes and dst = Addr_space.alloc space ~bytes in
-  let lines = max 1 (bytes / line_bytes) in
+  let lines = Int.max 1 (bytes / line_bytes) in
   let passes =
-    let rec go p runs = if runs <= 1 then max 1 p else go (p + 1) ((runs + fanin - 1) / fanin) in
+    let rec go p runs = if runs <= 1 then Int.max 1 p else go (p + 1) ((runs + fanin - 1) / fanin) in
     go 0 ((bytes + run_bytes - 1) / run_bytes)
   in
   let pass = ref 0 and offset = ref 0 in
@@ -128,7 +128,7 @@ let sort ctx ~region ~space ~bytes ?(run_bytes = 1 lsl 20) ?(fanin = 8)
   let step sink =
     if !pass >= passes then Done
     else begin
-      let stop = min lines (!offset + lines_per_step) in
+      let stop = Int.min lines (!offset + lines_per_step) in
       let src_base, dst_base = if !pass land 1 = 0 then (src, dst) else (dst, src) in
       while !offset < stop do
         let a = src_base + (!offset * line_bytes) in
@@ -154,7 +154,7 @@ let sort ctx ~region ~space ~bytes ?(run_bytes = 1 lsl 20) ?(fanin = 8)
 
 let hash_join ctx ~region ~space ~build ~probe ?(match_prob = 0.7) ?(instr_per_row = 50)
     ?(rows_per_step = 64) () =
-  let hash_bytes = max 4096 (build.Heap.rows * 16) in
+  let hash_bytes = Int.max 4096 (build.Heap.rows * 16) in
   let hash_base = Addr_space.alloc space ~bytes:hash_bytes in
   let hash_slots = hash_bytes / 16 in
   let phase = ref `Build and cursor = ref 0 in
@@ -163,7 +163,7 @@ let hash_join ctx ~region ~space ~build ~probe ?(match_prob = 0.7) ?(instr_per_r
   let step sink =
     match !phase with
     | `Build ->
-        let stop = min build.Heap.rows (!cursor + rows_per_step) in
+        let stop = Int.min build.Heap.rows (!cursor + rows_per_step) in
         while !cursor < stop do
           let addr = Heap.addr_of_row build !cursor in
           Sink.instrs sink ~region instr_per_row;
@@ -179,7 +179,7 @@ let hash_join ctx ~region ~space ~build ~probe ?(match_prob = 0.7) ?(instr_per_r
     | `Probe ->
         if !cursor >= probe.Heap.rows then Done
         else begin
-          let stop = min probe.Heap.rows (!cursor + rows_per_step) in
+          let stop = Int.min probe.Heap.rows (!cursor + rows_per_step) in
           while !cursor < stop do
             let addr = Heap.addr_of_row probe !cursor in
             Sink.instrs sink ~region instr_per_row;
@@ -199,13 +199,13 @@ let hash_join ctx ~region ~space ~build ~probe ?(match_prob = 0.7) ?(instr_per_r
 
 let aggregate ctx ~region ~space ~src ?(groups = 256) ?(instr_per_row = 45)
     ?(rows_per_step = 64) () =
-  let group_base = Addr_space.alloc space ~bytes:(max 4096 (groups * 32)) in
+  let group_base = Addr_space.alloc space ~bytes:(Int.max 4096 (groups * 32)) in
   let cursor = ref 0 in
   let pc_loop = (region * 1024) + 40 in
   let step sink =
     if !cursor >= src.Heap.rows then Done
     else begin
-      let stop = min src.Heap.rows (!cursor + rows_per_step) in
+      let stop = Int.min src.Heap.rows (!cursor + rows_per_step) in
       while !cursor < stop do
         let addr = Heap.addr_of_row src !cursor in
         Sink.instrs sink ~region instr_per_row;
@@ -227,7 +227,7 @@ let compute ctx ~region ~instrs ?(instr_per_step = 2000) () =
   let step sink =
     if !left <= 0 then Done
     else begin
-      let chunk = min instr_per_step !left in
+      let chunk = Int.min instr_per_step !left in
       Sink.instrs sink ~region chunk;
       Sink.branch sink ~pc:pc_loop ~taken:true;
       left := !left - chunk;

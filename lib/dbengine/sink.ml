@@ -2,7 +2,12 @@ module Gv = Stats.Growvec
 
 type t = {
   mutable instr_total : int;
-  regions : (int, int ref) Hashtbl.t;
+  (* Per-region tally: [region_ids.(i)] has [region_counts.(i)] instrs,
+     for i < [n_regions], in first-seen order.  A quantum touches a
+     handful of regions, so a linear scan beats hashing. *)
+  mutable region_ids : int array;
+  mutable region_counts : int array;
+  mutable n_regions : int;
   addrs : Gv.Int.t;
   writes : Gv.Bool.t;
   branch_pcs : Gv.Int.t;
@@ -27,7 +32,9 @@ type drained = {
 let create () =
   {
     instr_total = 0;
-    regions = Hashtbl.create 16;
+    region_ids = Array.make 16 0;
+    region_counts = Array.make 16 0;
+    n_regions = 0;
     addrs = Gv.Int.create ~capacity:1024 ();
     writes = Gv.Bool.create ~capacity:1024 ();
     branch_pcs = Gv.Int.create ~capacity:256 ();
@@ -40,9 +47,22 @@ let create () =
 let instrs (t : t) ~region n =
   if n < 0 then invalid_arg "Sink.instrs: negative count";
   t.instr_total <- t.instr_total + n;
-  match Hashtbl.find_opt t.regions region with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add t.regions region (ref n)
+  let ids = t.region_ids in
+  let i = ref 0 in
+  while !i < t.n_regions && Array.unsafe_get ids !i <> region do
+    incr i
+  done;
+  if !i < t.n_regions then t.region_counts.(!i) <- t.region_counts.(!i) + n
+  else begin
+    if t.n_regions = Array.length ids then begin
+      let grow a = Array.append a (Array.make (Array.length a) 0) in
+      t.region_ids <- grow ids;
+      t.region_counts <- grow t.region_counts
+    end;
+    t.region_ids.(t.n_regions) <- region;
+    t.region_counts.(t.n_regions) <- n;
+    t.n_regions <- t.n_regions + 1
+  end
 
 let data_ref (t : t) ?(write = false) addr =
   Gv.Int.push t.addrs addr;
@@ -71,10 +91,10 @@ let drain (t : t) =
       instrs = t.instr_total;
       region_instrs =
         (* Region order feeds RNG draws and feature interning downstream:
-           sorted by region id, not bucket order. *)
-        Stats.Det.hashtbl_bindings t.regions
-        |> List.map (fun (r, c) -> (r, !c))
-        |> Array.of_list;
+           sorted by region id, not first-seen order. *)
+        (let a = Array.init t.n_regions (fun i -> (t.region_ids.(i), t.region_counts.(i))) in
+         Array.sort (fun (r, _) (r', _) -> Int.compare r r') a;
+         a);
       addrs = Gv.Int.to_array t.addrs;
       writes = Gv.Bool.to_array t.writes;
       branch_pcs = Gv.Int.to_array t.branch_pcs;
@@ -85,7 +105,7 @@ let drain (t : t) =
     }
   in
   t.instr_total <- 0;
-  Hashtbl.reset t.regions;
+  t.n_regions <- 0;
   Gv.Int.clear t.addrs;
   Gv.Bool.clear t.writes;
   Gv.Int.clear t.branch_pcs;

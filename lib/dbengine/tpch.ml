@@ -37,7 +37,7 @@ let create ?(scale = 1.0) ?(buf_pages = 4096) ?addr_base ~seed () =
   let space = Addr_space.create ?base:addr_base () in
   let rng = Rng.create seed in
   let buf = Bufcache.create ~pages:buf_pages ~page_bytes:8192 in
-  let rows base = max 64 (int_of_float (float_of_int base *. scale)) in
+  let rows base = Int.max 64 (int_of_float (float_of_int base *. scale)) in
   let lineitem = Heap.create space ~name:"lineitem" ~rows:(rows 360_000) ~row_bytes:120 in
   let orders = Heap.create space ~name:"orders" ~rows:(rows 120_000) ~row_bytes:120 in
   let customer = Heap.create space ~name:"customer" ~rows:(rows 12_000) ~row_bytes:180 in
@@ -67,7 +67,7 @@ let walking_key n ~window ~jump_prob =
      the L2/L3 boundary, the upper bound is the whole key space.  The
      regime therefore oscillates between "descends mostly hit" and
      "descends mostly miss" on a timescale of many EIPV intervals. *)
-  let min_size = float_of_int (max 64 (min window (n / 8))) in
+  let min_size = float_of_int (Int.max 64 (Int.min window (n / 8))) in
   let max_size = float_of_int n in
   let size = ref (sqrt (min_size *. max_size)) in
   let draws = ref 0 in
@@ -81,7 +81,7 @@ let walking_key n ~window ~jump_prob =
       size := Float.max min_size (Float.min max_size (!size *. f))
     end;
     if Rng.bernoulli rng jump_prob then centre := Rng.int rng n;
-    let off = Rng.int rng (max 1 (int_of_float !size)) in
+    let off = Rng.int rng (Int.max 1 (int_of_float !size)) in
     (!centre + off) mod n
 
 let q db n =

@@ -1,7 +1,7 @@
 (** The rule engine: load sources, run the registry, apply waivers. *)
 
 val rules : Rule.t list
-(** The shallow registry, D001–D008, in id order. *)
+(** The shallow registry, D001–D009, in id order. *)
 
 val deep_rules : Rule.t list
 (** G001–G004; driven by {!run_deep} off the reference graph (their [check]

@@ -1,7 +1,7 @@
-(* D005-D008: hygiene rules.  Less absolute than D001-D004, but each one
-   closes a channel through which nondeterminism or silent breakage creeps
-   in (pointer identity, interleaved stdout, hidden interfaces, swallowed
-   exceptions). *)
+(* D005-D009: hygiene rules.  Less absolute than D001-D004, but each one
+   closes a channel through which nondeterminism, silent breakage or a
+   hidden hot-path cost creeps in (pointer identity, interleaved stdout,
+   hidden interfaces, swallowed exceptions, polymorphic comparison). *)
 
 let d005 =
   Syntax.ident_rule ~id:"D005" ~title:"physical equality"
@@ -129,4 +129,22 @@ let d008 =
   in
   { rule with Rule.check }
 
-let all = [ d005; d006; d007; d008 ]
+let simulator_libs = [ "lib/march"; "lib/dbengine"; "lib/workload"; "lib/sampling" ]
+
+let d009 =
+  Syntax.ident_rule ~id:"D009" ~title:"polymorphic min/max/compare in the simulator"
+    ~doc:
+      "Stdlib min, max and compare are polymorphic: each call goes through \
+       the runtime's generic comparison instead of one machine compare.  The \
+       simulator libraries run them per reference, per branch and per \
+       quantum, so they use the typed Int.min/Int.max/Int.compare (or \
+       Float.*) instead, which also states the argument type at the site."
+    ~scope:(fun path -> List.exists (fun dir -> Rule.under dir path) simulator_libs)
+    ~hit:(fun name ->
+      match name with
+      | "min" | "max" | "compare" ->
+          Some (name ^ ": polymorphic comparison; use Int." ^ name ^ " (or Float." ^ name ^ ")")
+      | _ -> None)
+    ()
+
+let all = [ d005; d006; d007; d008; d009 ]

@@ -1,4 +1,5 @@
-(** D005–D008: hygiene rules (physical equality, stdout discipline,
-    interface coverage, exception handling). *)
+(** D005–D009: hygiene rules (physical equality, stdout discipline,
+    interface coverage, exception handling, polymorphic comparison in the
+    simulator libraries). *)
 
 val all : Rule.t list

@@ -29,7 +29,7 @@ let update t ~pc ~taken =
   let i = index t ~pc in
   let c = Char.code (Bytes.get t.table i) in
   let predicted = c >= 2 in
-  let c' = if taken then min 3 (c + 1) else max 0 (c - 1) in
+  let c' = if taken then Int.min 3 (c + 1) else Int.max 0 (c - 1) in
   Bytes.set t.table i (Char.chr c');
   t.history <- ((t.history lsl 1) lor (if taken then 1 else 0)) land t.history_mask;
   t.branches <- t.branches + 1;

@@ -36,26 +36,30 @@ let create ~size_bytes ~ways ~line_bytes =
   }
 
 (* Each set's slice of [tags] is kept in recency order, most recent
-   first; invalid ways (-1) sit at the end.  A hit moves its tag to the
-   front, a miss shifts the slice down one and drops its last tag --
-   an invalid way while any is left, else the LRU line.  That is the
-   same hit/miss sequence as Reference's per-way timestamps, without
-   the stamps. *)
+   first; invalid ways (-1) sit at the end.  One pass: a hit on the MRU
+   way changes nothing; otherwise the line goes to the front and each
+   displaced tag is carried one way down until the pass meets the line
+   (a hit: its old slot takes the carried tag) or the carried tag falls
+   off the end (a miss: an invalid way while any is left, else the LRU
+   line).  That is the same hit/miss sequence as Reference's per-way
+   timestamps, without the stamps. *)
 let access t addr =
   if addr < 0 then invalid_arg "Cache.access: negative address";
   let line = addr asr t.line_bits in
   let tags = t.tags in
   let base = (line land (t.sets - 1)) * t.ways in
-  let last = base + t.ways - 1 in
-  let w = ref base in
-  while !w <= last && tags.(!w) <> line do
-    incr w
-  done;
-  let hit = !w <= last in
-  for i = (if hit then !w else last) downto base + 1 do
-    tags.(i) <- tags.(i - 1)
-  done;
-  tags.(base) <- line;
+  let carry = ref (Array.unsafe_get tags base) in
+  if !carry <> line then begin
+    Array.unsafe_set tags base line;
+    let w = ref (base + 1) and stop = base + t.ways in
+    while !w < stop && !carry <> line do
+      let next = Array.unsafe_get tags !w in
+      Array.unsafe_set tags !w !carry;
+      carry := next;
+      incr w
+    done
+  end;
+  let hit = !carry = line in
   if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
   hit
 

@@ -99,4 +99,4 @@ let pollute t ~fraction =
     let addr = t.pollution_cursor + (i * line_bytes) in
     ignore (Hierarchy.access_data t.hier addr : Hierarchy.level)
   done;
-  t.pollution_cursor <- t.pollution_cursor + (max 1 lines * line_bytes)
+  t.pollution_cursor <- t.pollution_cursor + (Int.max 1 lines * line_bytes)

@@ -76,7 +76,7 @@ let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu 
     let weight_of emitted extra =
       if emitted = 0 then 1.0 else float_of_int (emitted + extra) /. float_of_int emitted
     in
-    let instrs = max 1 d.Sink.instrs in
+    let instrs = Int.max 1 d.Sink.instrs in
     let quantum =
       March.Quantum.make ~instrs ~inst_lines ~inst_weight ~ref_addrs:d.Sink.addrs
         ~ref_writes:d.Sink.writes
@@ -93,7 +93,7 @@ let stream ?(period = 20_000) ?(code_lines_per_quantum = 48) (w : Model.t) ~cpu 
       if Array.length d.Sink.region_instrs = 0 then 0
       else begin
         let total = Array.fold_left (fun a (_, n) -> a + n) 0 d.Sink.region_instrs in
-        let target = Rng.int rng (max 1 total) in
+        let target = Rng.int rng (Int.max 1 total) in
         let acc = ref 0 and chosen = ref (fst d.Sink.region_instrs.(0)) in
         (try
            Array.iter

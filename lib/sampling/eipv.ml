@@ -84,10 +84,10 @@ module Builder = struct
       let iv =
         {
           eipv = Stats.Sparse_vec.of_counts b.counts;
-          cpi = b.cycles /. float_of_int (max 1 b.instrs);
+          cpi = b.cycles /. float_of_int (Int.max 1 b.instrs);
           instrs = b.instrs;
           cycles = b.cycles;
-          breakdown = March.Breakdown.per_instr b.bd ~instrs:(max 1 b.instrs);
+          breakdown = March.Breakdown.per_instr b.bd ~instrs:(Int.max 1 b.instrs);
           first_sample = b.fed - b.samples_per_interval;
         }
       in

@@ -41,7 +41,7 @@ let build (run : Driver.run) ~samples_per_interval =
     done;
     rows.(j) <-
       Stats.Sparse_vec.of_assoc (Stats.Det.hashtbl_bindings counts);
-    cpis.(j) <- !cycles /. float_of_int (max 1 !instrs)
+    cpis.(j) <- !cycles /. float_of_int (Int.max 1 !instrs)
   done;
   { rows; cpis; region_of_feature = Array.of_list (List.rev !regions); n_features = !next }
 

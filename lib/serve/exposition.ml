@@ -37,7 +37,7 @@ let labeled_counter name help ~label pairs =
   }
 
 let render ~(snapshot : Metrics.snapshot) ~latency ~queue_depth ~inflight
-    ~draining =
+    ~accept_pauses ~draining =
   let s = snapshot in
   let families =
     [
@@ -48,6 +48,9 @@ let render ~(snapshot : Metrics.snapshot) ~latency ~queue_depth ~inflight
       counter "repro_connections_refused_total"
         "Connections turned away at the max-connections cap."
         s.connections_refused;
+      counter "repro_accept_paused_total"
+        "Times a listener paused accepting for want of descriptors or socket memory."
+        accept_pauses;
       counter "repro_requests_total" "Requests decoded and admitted to routing."
         s.requests_total;
       labeled_counter "repro_requests_kind_total"

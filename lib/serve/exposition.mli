@@ -11,8 +11,12 @@ val render :
   latency:Metrics.hist_snapshot list ->
   queue_depth:int ->
   inflight:int ->
+  accept_pauses:int ->
   draining:bool ->
   string
 (** [queue_depth] and [inflight] are the instantaneous gauges (the
-    snapshot only records their high-water marks); [draining] is true
+    snapshot only records their high-water marks); [accept_pauses]
+    counts the episodes in which a listener stopped accepting for want
+    of descriptors (kept out of the snapshot, so the [stats] RPC bytes do
+    not depend on the host's descriptor limit); [draining] is true
     between a shutdown request and the last queued response. *)

@@ -57,6 +57,7 @@ type pending = {
 type http_conn = {
   hid : int;
   hfd : Unix.file_descr;
+  hdeadline : float;  (* the request head must have parsed by then *)
   hbuf : Buffer.t;
   mutable hout : string;  (* full response once the head has parsed *)
   mutable hout_off : int;
@@ -79,6 +80,16 @@ and message =
       (* a routed heavy-request response; [code] is the error code for
          the metrics count (None = ok), applied only if the subscriber
          is still connected *)
+
+(* Scrape connections are bounded in number and in idle time, so idle or
+   stalled scrapers cannot hold the descriptors RPC clients need
+   (DESIGN.md §16): past [http_max_conns] open the oldest is dropped, and
+   one whose request head has not parsed [http_head_timeout_s] after
+   accept is dropped.  A scraper on loopback sends its head at once; the
+   slack is for a loaded host that deschedules it between connect and
+   write. *)
+let http_max_conns = 64
+let http_head_timeout_s = 5.0
 
 let close_quietly fd =
   try Unix.close fd with Unix.Unix_error (_, _, _) -> ()
@@ -230,6 +241,8 @@ let run ?(on_event = fun _ -> ()) cfg address =
         Some fd
   in
   let http_conns : (int, http_conn) Hashtbl.t = Hashtbl.create 8 in
+  (* Pause episodes (below); shard 0 alone writes and reads it. *)
+  let accept_pauses = ref 0 in
   let next_http_id = ref 0 in
   let sorted_http_conns () =
     List.map snd (Stats.Det.hashtbl_bindings http_conns)
@@ -245,7 +258,7 @@ let run ?(on_event = fun _ -> ()) cfg address =
             !inflight ))
     in
     Exposition.render ~snapshot ~latency ~queue_depth ~inflight:inflight_now
-      ~draining:(Atomic.get draining)
+      ~accept_pauses:!accept_pauses ~draining:(Atomic.get draining)
   in
   let http_response (r : Metrics_http.Http.request) =
     match (r.meth, r.path) with
@@ -280,7 +293,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
     else begin
       Evloop.modify shards.(0).ev fd ~read:false ~write:false;
       paused := (fd, seen, Clock.now () +. 1.0) :: !paused;
-      if not !starved then on_event "accept paused: out of descriptors or socket memory";
+      if not !starved then begin
+        incr accept_pauses;
+        on_event "accept paused: out of descriptors or socket memory"
+      end;
       starved := true
     end
   in
@@ -303,12 +319,28 @@ let run ?(on_event = fun _ -> ()) cfg address =
     Atomic.incr closed
   in
   let add_http fd _addr =
+    if Hashtbl.length http_conns >= http_max_conns then begin
+      match sorted_http_conns () with oldest :: _ -> drop_http oldest | [] -> ()
+    end;
     Unix.set_nonblock fd;
     let id = !next_http_id in
     incr next_http_id;
     Hashtbl.replace http_conns id
-      { hid = id; hfd = fd; hbuf = Buffer.create 256; hout = ""; hout_off = 0; hdone = false };
+      {
+        hid = id;
+        hfd = fd;
+        hdeadline = Clock.now () +. http_head_timeout_s;
+        hbuf = Buffer.create 256;
+        hout = "";
+        hout_off = 0;
+        hdone = false;
+      };
     Evloop.add shards.(0).ev fd ~read:true ~write:false
+  in
+  let expire_http () =
+    List.iter
+      (fun c -> if (not c.hdone) && Clock.expired ~deadline:(Some c.hdeadline) then drop_http c)
+      (sorted_http_conns ())
   in
   let http_read c =
     let buf = Bytes.create 4096 in
@@ -958,7 +990,10 @@ let run ?(on_event = fun _ -> ()) cfg address =
         | Some _ | None -> ());
         List.iter
           (fun c -> if Evloop.readable sh.ev c.hfd then http_read c)
-          (sorted_http_conns ())
+          (sorted_http_conns ());
+        (* After the reads: a head that arrived while this shard was
+           busy (an inline compute at --jobs 1) is parsed, not expired. *)
+        expire_http ()
       end;
       process_inbox sh;
       List.iter

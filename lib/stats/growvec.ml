@@ -41,5 +41,10 @@ module Bool = struct
 
   let length t = t.len
   let clear t = t.len <- 0
-  let to_array t = Array.init t.len (fun i -> Bytes.get t.data i = '\001')
+  let to_array t =
+    let a = Array.make t.len false in
+    for i = 0 to t.len - 1 do
+      if Bytes.unsafe_get t.data i = '\001' then a.(i) <- true
+    done;
+    a
 end

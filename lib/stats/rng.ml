@@ -1,25 +1,31 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives in 8 bytes rather than a mutable [int64]
+   field: an [int64] field is boxed, so every draw would allocate a fresh
+   box, while [Bytes.get/set_int64_ne] read and write it unboxed. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 output function: mix the advanced state through two
    xor-shift-multiply rounds. *)
-let next_raw t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] next_raw t =
+  let z = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let int64 t = next_raw t
 
-let split t =
-  let s = next_raw t in
-  { state = s }
+let split t = of_state (next_raw t)
 
 (* SplitMix64 finaliser, used to mix label bytes into a seed. *)
 let mix64 z =
@@ -37,25 +43,25 @@ let split_label seed label =
     (fun c ->
       h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
     label;
-  { state = mix64 (Int64.add (Int64.mul (Int64.of_int seed) golden_gamma) !h) }
+  of_state (mix64 (Int64.add (Int64.mul (Int64.of_int seed) golden_gamma) !h))
 
-let bits t = Int64.to_int (Int64.shift_right_logical (next_raw t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (next_raw t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let rec go () =
-    let r = bits t in
-    let v = r mod bound in
-    if r - v + (bound - 1) < 0 then go () else v
-  in
-  go ()
+  (* Rejection sampling to avoid modulo bias (a loop, not a local
+     recursive function, so a draw allocates no closure). *)
+  let r = ref (bits t) in
+  while !r - (!r mod bound) + (bound - 1) < 0 do
+    r := bits t
+  done;
+  !r mod bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_raw t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 

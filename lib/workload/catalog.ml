@@ -29,9 +29,9 @@ let scaled_sjas ~seed ~scale =
       {
         Appserver.default_params with
         session_bytes =
-          max (1 lsl 20) (int_of_float (float_of_int Appserver.default_params.session_bytes *. scale));
+          Int.max (1 lsl 20) (int_of_float (float_of_int Appserver.default_params.session_bytes *. scale));
         oldgen_bytes =
-          max (1 lsl 20) (int_of_float (float_of_int Appserver.default_params.oldgen_bytes *. scale));
+          Int.max (1 lsl 20) (int_of_float (float_of_int Appserver.default_params.oldgen_bytes *. scale));
       }
   in
   Appserver.model ~params:p ~seed ()

@@ -49,7 +49,7 @@ let draw_key trng ~skew n =
   if skew <= 0.0 then Rng.int trng n
   else begin
     let u = Rng.float trng 1.0 in
-    min (n - 1) (int_of_float (Float.pow u (1.0 +. (4.0 *. skew)) *. float_of_int n))
+    Int.min (n - 1) (int_of_float (Float.pow u (1.0 +. (4.0 *. skew)) *. float_of_int n))
   end
 
 let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
@@ -61,7 +61,7 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
   done;
   let space = Dbengine.Addr_space.create ?base:addr_base () in
   let rng = Rng.create seed in
-  let rows base = max 1024 (int_of_float (float_of_int base *. params.scale)) in
+  let rows base = Int.max 1024 (int_of_float (float_of_int base *. params.scale)) in
   let accounts = Heap.create space ~name:"accounts" ~rows:(rows 640_000) ~row_bytes:100 in
   let index =
     let n = accounts.Heap.rows in
@@ -82,6 +82,7 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
     let fill sink ~budget =
       let start = Sink.total_instrs sink in
       let blocked = ref false in
+      let visit a = Sink.data_ref sink a in
       while (not !blocked) && Sink.total_instrs sink - start < budget do
         (* One transaction. *)
         let _, _, regions = txn_types.(Dist.categorical_draw mix trng) in
@@ -94,19 +95,18 @@ let model ?(params = default_params) ?(name = "odb_c") ?addr_base ~seed () =
           (* Uniformly random key by default: no locality, so misses
              spread evenly over the whole run.  [key_skew] bends this. *)
           let key = draw_key trng ~skew:params.key_skew (Btree.n_keys index) in
-          let path, row = Btree.find_trace index key in
-          List.iter (fun a -> Sink.data_ref sink a) path;
+          let r = Btree.descend index key ~visit in
           Sink.branch sink ~pc:(region_base * 1024) ~taken:(key land 1 = 0);
-          match row with
-          | Some r when r < accounts.Heap.rows ->
-              let addr = Heap.addr_of_row accounts r in
-              Sink.data_ref sink ~write:(Rng.bernoulli trng 0.3) addr;
-              if not (Dbengine.Bufcache.touch buf addr) then
-                if Rng.bernoulli trng params.yield_prob then begin
-                  Sink.io_wait sink;
-                  blocked := true
-                end
-          | Some _ | None -> ()
+          (* Row ids are non-negative, so -1 is "absent". *)
+          if r >= 0 && r < accounts.Heap.rows then begin
+            let addr = Heap.addr_of_row accounts r in
+            Sink.data_ref sink ~write:(Rng.bernoulli trng 0.3) addr;
+            if not (Dbengine.Bufcache.touch buf addr) then
+              if Rng.bernoulli trng params.yield_prob then begin
+                Sink.io_wait sink;
+                blocked := true
+              end
+          end
         done;
         (* Log append: sequential writes, always cached. *)
         let log_row = !log_cursor mod log.Heap.rows in

@@ -106,7 +106,7 @@ let bimodal_phases ~rb ~n_eips ~ws_heavy ~pattern ~refs_heavy ~hot_heavy =
     Synth.phase ~label:"memory" ~region:rb ~n_eips ~eip_skew:0.9 ~work_bytes:ws_heavy
       ~pattern ~refs_per_kinstr:refs_heavy ~hot_frac:hot_heavy ~branches_per_kinstr:80.0
       ~branch_entropy:0.06 ~duration_quanta:(300, 700) ();
-    Synth.phase ~label:"compute" ~region:(rb + 1) ~n_eips:(max 32 (n_eips / 3))
+    Synth.phase ~label:"compute" ~region:(rb + 1) ~n_eips:(Int.max 32 (n_eips / 3))
       ~eip_skew:1.3 ~work_bytes:(kb 48) ~pattern:Synth.Random ~refs_per_kinstr:300.0
       ~hot_frac:0.97 ~branches_per_kinstr:110.0 ~branch_entropy:0.03
       ~duration_quanta:(300, 700) ();

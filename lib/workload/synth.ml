@@ -71,7 +71,7 @@ let thread rng ~code ~space ~phases ~tid =
   let states =
     Array.map
       (fun p ->
-        let footprint = p.work_bytes * max 1 p.work_walk in
+        let footprint = p.work_bytes * Int.max 1 p.work_walk in
         {
           base = Dbengine.Addr_space.alloc space ~bytes:footprint;
           footprint;
@@ -93,7 +93,7 @@ let thread rng ~code ~space ~phases ~tid =
     (* Slide the working window on every phase entry when walking. *)
     let p = phases.(!cur) and s = states.(!cur) in
     if p.work_walk > 1 then
-      s.window <- Rng.int rng (max 1 (s.footprint - p.work_bytes))
+      s.window <- Rng.int rng (Int.max 1 (s.footprint - p.work_bytes))
   in
   remaining := pick_duration phases.(0);
   let fill sink ~budget =
@@ -118,29 +118,29 @@ let thread rng ~code ~space ~phases ~tid =
       | Random | Chase -> cold
     in
     let want_refs = int_of_float candidates in
-    let emit_refs = min want_refs max_refs_per_quantum in
+    let emit_refs = Int.min want_refs max_refs_per_quantum in
     if want_refs > emit_refs then Sink.account_refs sink (want_refs - emit_refs);
     let span = p.work_bytes in
     (* Per-quantum slide of the walking window, so consecutive intervals
        see different cache-residency. *)
     if p.work_walk > 1 && Rng.bernoulli rng 0.15 then
-      s.window <- (s.window + (span / 4)) mod max 1 (s.footprint - span);
+      s.window <- (s.window + (span / 4)) mod Int.max 1 (s.footprint - span);
     let stride = match p.pattern with Sequential | Strided _ -> line | Random | Chase -> 0 in
     (* Keep the sampled stream's spatial density equal to the logical
        stream's: advance by (candidates / emitted) lines per sample. *)
-    let scale = if emit_refs = 0 then 1 else max 1 (want_refs / max 1 emit_refs) in
+    let scale = if emit_refs = 0 then 1 else Int.max 1 (want_refs / Int.max 1 emit_refs) in
     for _ = 1 to emit_refs do
       let addr =
         if stride > 0 then begin
           s.cursor <- (s.cursor + (stride * scale)) mod span;
           s.base + s.window + s.cursor
         end
-        else s.base + s.window + (Rng.int rng (max 1 (span / line)) * line)
+        else s.base + s.window + (Rng.int rng (Int.max 1 (span / line)) * line)
       in
       Sink.data_ref sink ~write:(Rng.bernoulli rng p.write_frac) addr
     done;
     let want_branches = int_of_float (p.branches_per_kinstr *. kinstr) in
-    let emit_branches = min want_branches max_branches_per_quantum in
+    let emit_branches = Int.min want_branches max_branches_per_quantum in
     if want_branches > emit_branches then Sink.account_branches sink (want_branches - emit_branches);
     let pc_base = (p.region * 1024) + 512 in
     for i = 1 to emit_branches do

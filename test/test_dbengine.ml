@@ -114,6 +114,71 @@ let prop_btree_matches_hashtbl =
         pairs;
       Hashtbl.fold (fun k v acc -> acc && Btree.find t k = Some v) h true)
 
+(* [descend] against the root->leaf walks it replaced.  The digests were
+   captured from the list-building [find_trace] of the build before
+   [descend] existed, over every key (present and absent) of one
+   bulk-loaded and one insert-built tree. *)
+let descend_digest t keys =
+  let h = ref 0 in
+  let mix x = h := (!h * 1_000_003) lxor x in
+  List.iter
+    (fun k ->
+      let depth = ref 0 in
+      let v = Btree.descend t k ~visit:(fun a -> incr depth; mix a) in
+      mix v;
+      mix !depth)
+    keys;
+  !h land 0x3FFFFFFF
+
+let pinned_bulk () =
+  let t = Btree.create ~fanout:8 ~node_bytes:512 ~base_addr:0x1000 () in
+  Btree.bulk_load t (Array.init 5000 (fun i -> (i * 3, i * 7)));
+  t
+
+let pinned_inserted () =
+  let t = Btree.create ~fanout:6 ~node_bytes:128 ~base_addr:0x8000 () in
+  let rng = Rng.create 9 in
+  for _ = 1 to 3000 do
+    let k = Rng.int rng 20_000 in
+    Btree.insert t ~key:k ~value:(k + 1)
+  done;
+  t
+
+let test_btree_descend_pinned () =
+  let bulk = pinned_bulk () and ins = pinned_inserted () in
+  Alcotest.(check int) "bulk height" 5 (Btree.height bulk);
+  Alcotest.(check int) "insert-built height" 6 (Btree.height ins);
+  Alcotest.(check int) "bulk-loaded paths and values" 425227168
+    (descend_digest bulk (List.init 16_000 Fun.id));
+  Alcotest.(check int) "insert-built paths and values" 539663935
+    (descend_digest ins (List.init 21_000 Fun.id))
+
+(* Oracle: a one-key [range_trace] walks the same root->leaf path (both
+   child indices coincide) through its own traversal, and reports the
+   value if the key is present. *)
+let prop_btree_descend_matches_walks =
+  QCheck2.Test.make ~name:"descend = find_trace = one-key range_trace" ~count:60
+    QCheck2.Gen.(
+      triple bool (list_size (int_range 1 400) (int_range 0 2000)) (list_size (int_range 1 50) (int_range (-5) 2005)))
+    (fun (bulk, keys, probes) ->
+      let t = Btree.create ~fanout:6 ~node_bytes:128 ~base_addr:0x4000 () in
+      (if bulk then
+         let sorted = List.sort_uniq Int.compare keys in
+         Btree.bulk_load t (Array.of_list (List.map (fun k -> (k, 3 * k)) sorted))
+       else List.iter (fun k -> Btree.insert t ~key:k ~value:(3 * k)) keys);
+      List.for_all
+        (fun k ->
+          let visited = ref [] in
+          let v = Btree.descend t k ~visit:(fun a -> visited := a :: !visited) in
+          let path = List.rev !visited in
+          let found = ref None in
+          let oracle = Btree.range_trace t ~lo:k ~hi:k (fun _ v -> found := Some v) in
+          let trace, tv = Btree.find_trace t k in
+          let expect = if List.mem k keys then Some (3 * k) else None in
+          path = oracle && path = trace && !found = expect && tv = expect
+          && v = Option.value expect ~default:(-1))
+        (probes @ keys))
+
 (* -------------------- buffer-cache LRU (Stats.Lru) ------------------ *)
 
 let test_cache_lru_exact_capacity () =
@@ -217,6 +282,32 @@ let test_sink_accumulate_drain () =
   let d2 = Sink.drain s in
   Alcotest.(check int) "empty after drain" 0 d2.Sink.instrs;
   Alcotest.(check int) "no refs after drain" 0 (Array.length d2.Sink.addrs)
+
+(* [region_instrs] against a Hashtbl tally sorted by region, over runs
+   with repeated regions and zero counts, across two drains of one sink. *)
+let prop_sink_regions_match_hashtbl =
+  let gen = QCheck2.Gen.(list_size (int_range 0 60) (pair (int_range 0 40) (int_range 0 3))) in
+  QCheck2.Test.make ~name:"Sink region tally = sorted Hashtbl fold" ~count:200
+    QCheck2.Gen.(pair gen gen)
+    (fun (first, second) ->
+      let s = Sink.create () in
+      let round calls =
+        List.iter (fun (r, n) -> Sink.instrs s ~region:(1000 + (r * r)) n) calls;
+        let h = Hashtbl.create 16 in
+        List.iter
+          (fun (r, n) ->
+            let r = 1000 + (r * r) in
+            Hashtbl.replace h r (n + Option.value (Hashtbl.find_opt h r) ~default:0))
+          calls;
+        let expect =
+          List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            (Hashtbl.fold (fun r c acc -> (r, c) :: acc) h [])
+        in
+        let d = Sink.drain s in
+        Array.to_list d.Sink.region_instrs = expect
+        && d.Sink.instrs = List.fold_left (fun a (_, n) -> a + n) 0 calls
+      in
+      round first && round second)
 
 (* -------------------------------- Ops ------------------------------ *)
 
@@ -416,7 +507,13 @@ let () =
         :: Alcotest.test_case "height logarithmic" `Quick test_btree_height_logarithmic
         :: Alcotest.test_case "range" `Quick test_btree_range
         :: Alcotest.test_case "rejects unsorted bulk" `Quick test_btree_bulk_rejects_unsorted
-        :: qcheck [ prop_btree_insert_invariants; prop_btree_matches_hashtbl ] );
+        :: Alcotest.test_case "descend pinned to parent walks" `Quick test_btree_descend_pinned
+        :: qcheck
+             [
+               prop_btree_insert_invariants;
+               prop_btree_matches_hashtbl;
+               prop_btree_descend_matches_walks;
+             ] );
       ( "cache_lru",
         Alcotest.test_case "exact capacity" `Quick test_cache_lru_exact_capacity
         :: Alcotest.test_case "stats" `Quick test_cache_lru_stats
@@ -429,7 +526,9 @@ let () =
                prop_cache_lru_equals_reference 6000;
              ] );
       ("heap", [ Alcotest.test_case "addresses" `Quick test_heap_addresses ]);
-      ("sink", [ Alcotest.test_case "accumulate and drain" `Quick test_sink_accumulate_drain ]);
+      ( "sink",
+        Alcotest.test_case "accumulate and drain" `Quick test_sink_accumulate_drain
+        :: qcheck [ prop_sink_regions_match_hashtbl ] );
       ( "ops",
         [
           Alcotest.test_case "seq_scan sequential" `Quick test_seq_scan_sequential_addresses;

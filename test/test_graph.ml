@@ -38,13 +38,13 @@ let test_registry () =
   Alcotest.(check (list string))
     "deep registry ids" [ "G001"; "G002"; "G003"; "G004" ]
     (List.map (fun (r : Rule.t) -> r.Rule.id) Engine.deep_rules);
-  Alcotest.(check int) "shallow registry size" 8 (List.length Engine.rules);
+  Alcotest.(check int) "shallow registry size" 9 (List.length Engine.rules);
   List.iter
     (fun id ->
       match Engine.find_rule id with
       | Some r -> Alcotest.(check string) "find_rule id" id r.Rule.id
       | None -> Alcotest.failf "find_rule %s = None" id)
-    [ "D001"; "G001"; "G004" ];
+    [ "D001"; "D009"; "G001"; "G004" ];
   Alcotest.(check bool) "unknown id rejected" true (Engine.find_rule "Z999" = None);
   (* The built-in root table covers both kinds. *)
   List.iter

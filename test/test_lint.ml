@@ -108,6 +108,18 @@ let test_d008 () =
   in
   check_ids "named exception ok" [] (rule_ids (run ok))
 
+let test_d009 () =
+  let bad =
+    [ src "lib/march/a.ml" "let f a b = max a (Stdlib.min b 0)\nlet s l = List.sort compare l";
+      src "lib/march/a.mli" "" ]
+  in
+  check_ids "D009 fires on min, max, compare" [ "D009"; "D009"; "D009" ] (rule_ids (run bad));
+  let ok =
+    [ src "lib/dbengine/a.ml" "let f a b = Int.max a (Int.min b 0)"; src "lib/dbengine/a.mli" "";
+      src "lib/rtree/b.ml" "let f a b = max a b"; src "lib/rtree/b.mli" "" ]
+  in
+  check_ids "Int.* ok; outside the simulator ok" [] (rule_ids (run ok))
+
 let test_syntax_error () =
   let broken = [ src "lib/x/a.ml" "let f = ("; src "lib/x/a.mli" "" ] in
   check_ids "E000 reported" [ "E000" ] (rule_ids (run broken))
@@ -216,6 +228,7 @@ let () =
           Alcotest.test_case "D006 stdout in lib" `Quick test_d006;
           Alcotest.test_case "D007 missing mli" `Quick test_d007;
           Alcotest.test_case "D008 wildcard handler" `Quick test_d008;
+          Alcotest.test_case "D009 polymorphic min/max" `Quick test_d009;
           Alcotest.test_case "E000 syntax error" `Quick test_syntax_error;
         ] );
       ( "waivers",

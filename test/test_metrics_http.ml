@@ -319,7 +319,7 @@ let test_exposition_render () =
   M.observe_latency t ~kind:"health" ~seconds:3e-6;
   let text =
     Serve.Exposition.render ~snapshot:(M.snapshot t) ~latency:(M.latency t)
-      ~queue_depth:3 ~inflight:1 ~draining:true
+      ~queue_depth:3 ~inflight:1 ~accept_pauses:2 ~draining:true
   in
   assert_exposition_well_formed text;
   let must_contain line =
@@ -336,13 +336,14 @@ let test_exposition_render () =
   must_contain "repro_inflight 1";
   must_contain "repro_io_shards 2";
   must_contain "repro_shard_accepted_total{shard=\"01\"} 1";
+  must_contain "repro_accept_paused_total 2";
   must_contain "repro_draining 1";
   must_contain "# TYPE repro_request_duration_seconds histogram";
   must_contain "repro_request_duration_seconds_count{kind=\"analyze\"} 1";
   (* Not draining renders the gauge at zero, same shape otherwise. *)
   let calm =
     Serve.Exposition.render ~snapshot:(M.snapshot t) ~latency:(M.latency t)
-      ~queue_depth:0 ~inflight:0 ~draining:false
+      ~queue_depth:0 ~inflight:0 ~accept_pauses:0 ~draining:false
   in
   assert_exposition_well_formed calm;
   Alcotest.(check bool) "draining gauge drops to zero" true

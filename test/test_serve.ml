@@ -1012,7 +1012,9 @@ let test_health_drain () =
 (* Out of descriptors: under a 40-descriptor limit, 49 idle scrape
    connections exhaust the server's table and accept() fails with EMFILE.
    The server must pause that listener instead of dying, keep serving the
-   connections it holds, and accept again once descriptors free up. *)
+   connections it holds, count the pause in /metrics, and -- once the
+   idle scrapers pass their request-head deadline -- accept a fresh RPC
+   connection while their client ends are all still open. *)
 let test_fd_exhaustion () =
   let sock, pid, errfile = start_server_http ~fd_limit:40 () in
   Fun.protect
@@ -1063,11 +1065,73 @@ let test_fd_exhaustion () =
                 end
               in
               await 200;
-              health conn));
+              health conn;
+              Serve.Client.with_connection ~retry_for:200 address health));
       (* The idle connections are closed: a new connection gets in. *)
       Serve.Client.with_connection ~retry_for:200 address (fun conn ->
           health conn;
+          let code, body = http_get port "/metrics" in
+          Alcotest.(check int) "metrics status" 200 code;
+          let paused =
+            List.find_map
+              (fun line ->
+                match String.split_on_char ' ' line with
+                | [ "repro_accept_paused_total"; v ] -> int_of_string_opt v
+                | _ -> None)
+              (String.split_on_char '\n' body)
+          in
+          Alcotest.(check bool) "accept pause counted" true
+            (match paused with Some n -> n >= 1 | None -> false);
           ignore (call_ok conn P.Shutdown)))
+
+(* The scrape-connection cap: one connection past the server's 64 idle
+   scrapers drops the oldest, and only the oldest.  Every idle scraper
+   also expires 5 s after its accept, which is never before [t0] + 5 s;
+   inside that window a drop can only be the cap's.  So when the
+   connects finish well inside it, the oldest must go before [t0] +
+   4.5 s and the second oldest must still be open; on a host so loaded
+   that they did not, the check falls back to "the oldest went". *)
+let test_scrape_cap () =
+  let sock, pid, errfile = start_server_http () in
+  Fun.protect
+    ~finally:(fun () ->
+      stop_server (sock, pid);
+      try Sys.remove errfile with Sys_error _ -> ())
+    (fun () ->
+      let port = metrics_port_of errfile in
+      let since_t0 =
+        let t0 = Serve.Clock.now () in
+        fun () -> Serve.Clock.now () -. t0
+      in
+      let idle =
+        List.init 65 (fun _ ->
+            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+            fd)
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          List.iter (fun fd -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ()) idle)
+        (fun () ->
+          let closed_by_server ~wait fd =
+            match Unix.select [ fd ] [] [] wait with
+            | [], _, _ -> false
+            | _ -> (
+                match Unix.read fd (Bytes.create 1) 0 1 with
+                | n -> n = 0
+                | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+          in
+          let oldest = List.hd idle and second = List.nth idle 1 in
+          if since_t0 () < 3.0 then begin
+            Alcotest.(check bool) "oldest dropped by the cap" true
+              (closed_by_server ~wait:(4.5 -. since_t0 ()) oldest);
+            if since_t0 () < 4.9 then
+              Alcotest.(check bool) "second oldest kept" false
+                (closed_by_server ~wait:0.0 second)
+          end
+          else
+            Alcotest.(check bool) "oldest dropped" true (closed_by_server ~wait:10.0 oldest));
+      Alcotest.(check int) "fresh scrape served" 200 (fst (http_get port "/health")))
 
 (* ------------------------------ evloop ------------------------------ *)
 
@@ -1210,5 +1274,6 @@ let () =
             test_metrics_exposition_golden;
           Alcotest.test_case "health 503 during drain" `Quick test_health_drain;
           Alcotest.test_case "survives descriptor exhaustion" `Quick test_fd_exhaustion;
+          Alcotest.test_case "scrape cap drops the oldest" `Quick test_scrape_cap;
         ] );
     ]

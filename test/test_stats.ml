@@ -64,6 +64,47 @@ let test_rng_float_range () =
     Alcotest.(check bool) "in [0,1)" true (v >= 0.0 && v < 1.0)
   done
 
+(* The first outputs of each entry point, captured from the build before
+   the generator state moved from a boxed [int64] field into [Bytes]:
+   every simulated result is downstream of these streams, so they must
+   not move by a bit. *)
+let test_rng_vectors () =
+  let draws n f = List.init n (fun _ -> f ()) in
+  let r = Rng.create 42 in
+  Alcotest.(check (list int64)) "create 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L ]
+    (draws 3 (fun () -> Rng.int64 r));
+  let r = Rng.create 42 in
+  let child = Rng.split r in
+  Alcotest.(check (list int64)) "split child"
+    [ 6332618229526065668L; -816328817471504299L ]
+    (draws 2 (fun () -> Rng.int64 child));
+  Alcotest.(check int64) "split advances parent" 2949826092126892291L (Rng.int64 r);
+  let l = Rng.split_label 7 "odb_c" in
+  Alcotest.(check (list int64)) "split_label 7 odb_c"
+    [ 6525141621966508585L; 3172367696740575956L ]
+    (draws 2 (fun () -> Rng.int64 l));
+  let r = Rng.create 1 in
+  Alcotest.(check (list int)) "int"
+    [ 0; 1; 7; 58; 2048809309281742190; 1316676407973089130 ]
+    (List.map (Rng.int r) [ 1; 2; 10; 1000; max_int; (1 lsl 61) + 1 ]);
+  let r = Rng.create 2 in
+  Alcotest.(check (list string)) "float"
+    [ "0x1.2eb06bbc392eap-1"; "0x1.7f908c2017f83p-1"; "0x1.30f7797fbafcap-1"; "0x1.87e504f5ffcfep-1" ]
+    (draws 4 (fun () -> Printf.sprintf "%h" (Rng.float r 1.0)));
+  let r = Rng.create 3 in
+  Alcotest.(check (list bool)) "bool"
+    [ true; true; true; true; false; true; false; false ]
+    (draws 8 (fun () -> Rng.bool r));
+  let r = Rng.create 4 in
+  Alcotest.(check (list bool)) "bernoulli 0.5"
+    [ true; false; false; true; true; false; false; true; true; false; false; false ]
+    (draws 12 (fun () -> Rng.bernoulli r 0.5));
+  let a = Rng.create 42 in
+  ignore (Rng.int64 a);
+  let b = Rng.copy a in
+  Alcotest.(check int64) "copy continues the stream" (Rng.int64 a) (Rng.int64 b)
+
 let test_rng_split_independent () =
   let a = Rng.create 5 in
   let b = Rng.split a in
@@ -524,6 +565,7 @@ let () =
           Alcotest.test_case "uniformity chi2" `Quick test_rng_uniformity;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
+          Alcotest.test_case "output vectors" `Quick test_rng_vectors;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
           Alcotest.test_case "permutation" `Quick test_permutation;
           Alcotest.test_case "bernoulli rate" `Quick test_bernoulli_rate;
